@@ -677,9 +677,10 @@ func BenchmarkIngestDNS(b *testing.B) {
 
 // BenchmarkFlattenResponse measures wire-message flattening: the step
 // between the DNS TCP decoder and the fill queue. The typed-answer change
-// removed the per-answer Addr.String() round-trip, and the Into variant
-// removes the per-frame slice allocation (the TCP source reuses one
-// buffer per connection) — 0 allocs/op.
+// removed the per-answer Addr.String() round-trip, and flattening into a
+// reused buffer ("into"; the TCP source keeps one per connection) removes
+// the per-frame slice allocation that a nil dst ("fresh") pays — 0
+// allocs/op.
 func BenchmarkFlattenResponse(b *testing.B) {
 	msg := &dnswire.Message{
 		Header: dnswire.Header{ID: 7, Response: true},
@@ -697,7 +698,7 @@ func BenchmarkFlattenResponse(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if recs := stream.FlattenResponse(msg, t0); len(recs) != 4 {
+			if recs := stream.FlattenResponseInto(nil, msg, t0); len(recs) != 4 {
 				b.Fatal("bad flatten")
 			}
 		}

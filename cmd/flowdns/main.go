@@ -18,6 +18,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,128 +50,9 @@ import (
 )
 
 func main() {
-	var (
-		configPath    = flag.String("config", "", "JSON configuration file (overrides the flags below; see -example-config)")
-		exampleConfig = flag.Bool("example-config", false, "print an example configuration file and exit")
-		dnsListen     = flag.String("dns-listen", ":5353", "comma-separated TCP listen addresses for DNS streams")
-		netflowListen = flag.String("netflow-listen", ":2055", "comma-separated UDP listen addresses for NetFlow/IPFIX streams")
-		out           = flag.String("out", "-", "output file for correlated flows ('-' = stdout)")
-		sinkName      = flag.String("sink", "tsv", "output sink: "+strings.Join(core.SinkNames(), ", "))
-		sinkURL       = flag.String("sink-url", "", "HTTP endpoint for -sink influx (e.g. http://influx:8086/write?db=flowdns; '' = write line protocol to -out)")
-		measurement   = flag.String("measurement", "", "Influx measurement name for -sink influx ('' = flowdns)")
-		variant       = flag.String("variant", "Main", "benchmark variant: Main, NoSplit, NoClearUp, NoRotation, NoLong, ExactTTL")
-		lanes         = flag.Int("lanes", 0, "correlation lanes (flows partitioned by dst IP; 0 = one lane per split)")
-		fillLanes     = flag.Int("fill-lanes", 0, "fill lanes (DNS records partitioned by answer IP; 0 = mirror -lanes)")
-		fillWorkers   = flag.Int("fillup-workers", 4, "FillUp workers")
-		lookWorkers   = flag.Int("lookup-workers", core.DefaultNumSplit, "LookUp workers (distributed across lanes, min one per lane)")
-		writeWorkers  = flag.Int("write-workers", 2, "Write workers")
-		batchSize     = flag.Int("batch-size", core.DefaultWriteBatchSize, "correlated flows per sink WriteBatch call")
-		ingestBatch   = flag.Int("ingest-batch", 0, "UDP datagrams drained per batched socket read (recvmmsg ring size; 0 = default 32, 1 = single-read loop)")
-		flushEvery    = flag.Duration("flush-interval", core.DefaultWriteFlushInterval, "max wait for a write batch to fill")
-		statsInterval = flag.Duration("stats-interval", 30*time.Second, "stats reporting interval")
-		skipMisses    = flag.Bool("skip-misses", false, "do not write rows for uncorrelated flows")
-		snapshotPath  = flag.String("snapshot", "", "warm-restart checkpoint file: restore on boot, checkpoint periodically and on shutdown ('' = disabled)")
-		snapshotEvery = flag.Duration("snapshot-every", core.DefaultSnapshotInterval, "checkpoint cadence when -snapshot is set")
-
-		sampleMaxShed   = flag.Float64("sample-max-shed", 0, "adaptive sampler shed ceiling in (0,1]: fraction of offered records deliberately shed (and counted) at full buffers (0 = disabled)")
-		sampleLowWater  = flag.Float64("sample-low-water", 0, "buffer fill below which the sampler sheds nothing (0 = default 0.5; requires -sample-max-shed)")
-		sampleHighWater = flag.Float64("sample-high-water", 0, "buffer fill at which the shed rate reaches -sample-max-shed (0 = default 0.9; requires -sample-max-shed)")
-
-		rollupOn     = flag.Bool("rollup", false, "enable online attribution rollups (service × origin-AS × DBL category)")
-		window       = flag.Duration("window", rollup.DefaultWindow, "rollup window rotation interval (whole seconds)")
-		rollupOut    = flag.String("rollup-out", "rollups.tsv", "sealed rollup window export file ('-' = stdout, '' = none)")
-		rollupFormat = flag.String("rollup-format", "tsv", "rollup export format: tsv, json")
-		rollupHTTP   = flag.String("rollup-http", "", "listen address for the /rollups live snapshot endpoint ('' = disabled)")
-		bgpTablePath = flag.String("bgp-table", "", "prefix→origin-ASN file for rollup AS attribution")
-		dblPath      = flag.String("dbl", "", "domain blocklist file for rollup DBL-category attribution")
-
-		dnsIdle    = flag.Duration("dns-idle-timeout", 0, "close a DNS TCP stream that goes silent for this long (0 = keep wedged streams open)")
-		retryOn    = flag.Bool("retry-sink", false, "wrap the output sink in a retry/spill wrapper: timeout-bounded attempts, doubling backoff, bounded buffering across sink outages")
-		retrySpill = flag.String("retry-spill", "", "on-disk spill file for -retry-sink, replayed after recovery or restart ('' = memory-only)")
-		faultSpecs = flag.String("faults", "", "arm failpoints at boot: name=spec[;name=spec...], same grammar as the FLOWDNS_FAULTS env var (chaos testing)")
-		faultAdmin = flag.Bool("fault-admin", false, "mount /admin/fault on the query server: GET failpoint catalog, POST arm/disarm (chaos testing)")
-
-		queryAddr    = flag.String("query-addr", "", "query-plane HTTP listen address serving /query/*, /metrics, /rollups ('' = disabled; requires -store-dir unless -role is set)")
-		storeDir     = flag.String("store-dir", "", "window-store partition directory persisting sealed rollup windows ('' = disabled; requires -rollup)")
-		retention    = flag.Duration("retention", 0, "delete stored partitions older than this (0 = keep everything)")
-		compactAfter = flag.Duration("compact-after", 0, "compact a partition this long after its interval ends (0 = default 10m, negative = never)")
-
-		role      = flag.String("role", "", "cluster role: '' standalone, 'router' (consistent-hash fan-out to -forward-to nodes, no local store), 'worker' (correlator also serving /admin/handoff)")
-		forwardTo = flag.String("forward-to", "", "router fan-out ring: name=flowAddr/dnsAddr[,name=...] (requires -role router)")
-		nodeName  = flag.String("node", "", "this process's ring name, for handoff placement and cluster health (requires -role)")
-		vnodes    = flag.Int("vnodes", 0, "virtual nodes per ring member (0 = default 64); must match across the cluster")
-	)
+	c := bindFlags(flag.CommandLine)
 	flag.Parse()
-
-	// Same contract as the config file's snapshot_every_seconds checks: a
-	// cadence without a path would silently disable the checkpointing the
-	// operator asked for, and a non-positive cadence would be silently
-	// coerced to the default instead of failing fast. Skipped in -config
-	// mode, where the file governs and these flags are unused.
-	if *configPath == "" {
-		if *snapshotPath == "" {
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "snapshot-every" {
-					log.Fatalf("flowdns: -snapshot-every set without -snapshot")
-				}
-			})
-		} else if *snapshotEvery <= 0 {
-			log.Fatalf("flowdns: non-positive -snapshot-every %v", *snapshotEvery)
-		}
-		// Mirror the config file's query-section validation.
-		if *retention < 0 {
-			log.Fatalf("flowdns: negative -retention %v", *retention)
-		}
-		// A cluster process serves health/metrics/admin on the query
-		// address even without a local window store.
-		if *queryAddr != "" && *storeDir == "" && *role == "" {
-			log.Fatalf("flowdns: -query-addr set without -store-dir (nothing to serve)")
-		}
-		switch *role {
-		case "", "router", "worker":
-		default:
-			log.Fatalf("flowdns: unknown -role %q (want router or worker)", *role)
-		}
-		if *role == "router" && *forwardTo == "" {
-			log.Fatalf("flowdns: -role router requires -forward-to")
-		}
-		if *forwardTo != "" && *role != "router" {
-			log.Fatalf("flowdns: -forward-to requires -role router")
-		}
-		if *nodeName != "" && *role == "" {
-			log.Fatalf("flowdns: -node requires -role")
-		}
-		if *vnodes < 0 {
-			log.Fatalf("flowdns: negative -vnodes %d", *vnodes)
-		}
-		if *storeDir != "" && !*rollupOn {
-			log.Fatalf("flowdns: -store-dir requires -rollup (the store persists sealed rollup windows)")
-		}
-		// Mirror the config file's sampler and output validation.
-		if *sampleMaxShed < 0 || *sampleMaxShed > 1 {
-			log.Fatalf("flowdns: -sample-max-shed %v outside [0,1]", *sampleMaxShed)
-		}
-		if *sampleMaxShed == 0 && (*sampleLowWater != 0 || *sampleHighWater != 0) {
-			log.Fatalf("flowdns: sampler watermarks set without -sample-max-shed (sampling stays disabled)")
-		}
-		if *sampleLowWater < 0 || *sampleLowWater > 1 || *sampleHighWater < 0 || *sampleHighWater > 1 {
-			log.Fatalf("flowdns: sampler watermarks outside [0,1]")
-		}
-		if *ingestBatch < 0 {
-			log.Fatalf("flowdns: negative -ingest-batch %d", *ingestBatch)
-		}
-		if *sinkURL != "" && *sinkName != "influx" {
-			log.Fatalf("flowdns: -sink-url only applies to -sink influx (have %q)", *sinkName)
-		}
-		if *dnsIdle < 0 {
-			log.Fatalf("flowdns: negative -dns-idle-timeout %v", *dnsIdle)
-		}
-		if *retrySpill != "" && !*retryOn {
-			log.Fatalf("flowdns: -retry-spill set without -retry-sink")
-		}
-	}
-
-	if *exampleConfig {
+	if c.exampleConfig {
 		data, err := json.MarshalIndent(config.Example(), "", "  ")
 		if err != nil {
 			log.Fatalf("flowdns: %v", err)
@@ -178,57 +60,48 @@ func main() {
 		os.Stdout.Write(append(data, '\n'))
 		return
 	}
-
-	var flagRetry *config.RetryConfig
-	if *retryOn {
-		flagRetry = &config.RetryConfig{SpillPath: *retrySpill}
+	file, err := c.resolve()
+	if err != nil {
+		log.Fatalf("flowdns: %v", err)
 	}
-	cfg, outputs, rcfg, qcfg, chaos, cluster := loadConfig(*configPath, configFlags{
-		variant: *variant, lanes: *lanes, fillLanes: *fillLanes, fillWorkers: *fillWorkers, lookWorkers: *lookWorkers,
-		writeWorkers: *writeWorkers, batchSize: *batchSize, flushEvery: *flushEvery, ingestBatch: *ingestBatch,
-		snapshotPath: *snapshotPath, snapshotEvery: *snapshotEvery,
-		sampleLowWater: *sampleLowWater, sampleHighWater: *sampleHighWater, sampleMaxShed: *sampleMaxShed,
-		dnsListen: dnsListen, netflowListen: netflowListen, dnsIdle: *dnsIdle,
-		retry: flagRetry, faultAdmin: *faultAdmin,
-		role: *role, forwardTo: *forwardTo, node: *nodeName, vnodes: *vnodes,
-		out: *out, sink: *sinkName, sinkURL: *sinkURL, measurement: *measurement, skipMisses: *skipMisses,
-		rollup: config.RollupConfig{
-			Enabled: *rollupOn, WindowSeconds: windowSeconds(*window),
-			Path: *rollupOut, Format: *rollupFormat, HTTP: *rollupHTTP,
-			BGPTable: *bgpTablePath, Blocklist: *dblPath,
-		},
-		query: config.QueryConfig{
-			Listen: *queryAddr, StoreDir: *storeDir,
-			RetentionSeconds:    int(*retention / time.Second),
-			CompactAfterSeconds: int(*compactAfter / time.Second),
-		},
-	})
+	cfg, err := file.CoreConfig()
+	if err != nil {
+		log.Fatalf("flowdns: %v", err)
+	}
 
 	// Arm failpoints before any sink or source is constructed, so the very
-	// first I/O can hit them: the environment first, then the config file's
-	// map / the -faults flag (later arming of the same point wins).
+	// first I/O can hit them: the environment first, then the configured
+	// map, then the -faults flag (later arming of the same point wins).
 	if err := fault.FromEnv(); err != nil {
 		log.Fatalf("flowdns: %s: %v", fault.Env, err)
 	}
-	for name, spec := range chaos.faults {
+	for name, spec := range file.Faults {
 		if err := fault.Enable(name, spec); err != nil {
 			log.Fatalf("flowdns: config faults: %v", err)
 		}
 	}
-	if err := fault.EnableSpecs(*faultSpecs); err != nil {
+	if err := fault.EnableSpecs(c.faults); err != nil {
 		log.Fatalf("flowdns: -faults: %v", err)
 	}
 	if armed := armedFaults(); len(armed) > 0 {
 		log.Printf("flowdns: WARNING: %d failpoint(s) armed: %s", len(armed), strings.Join(armed, ", "))
 	}
 
+	sources, err := listen(file)
+	if err != nil {
+		log.Fatalf("flowdns: %v", err)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	// The router role is a different program shape: no correlator, no store,
 	// no sink — just the fan-out stage plus its admin plane.
-	if cluster.role == "router" {
-		runRouter(cfg, cluster, splitAddrs(*dnsListen), splitAddrs(*netflowListen))
+	if file.Cluster.Role == "router" {
+		runRouter(ctx, file, cfg.Key, sources)
 		return
 	}
 
+	outputs := file.AllOutputs()
 	sink, closeFiles, extraMetrics, err := buildSink(outputs)
 	if err != nil {
 		log.Fatalf("flowdns: %v", err)
@@ -251,12 +124,12 @@ func main() {
 	// (compaction + retention) runs as a service under the pipeline
 	// lifecycle.
 	var store *winstore.Store
-	if cfg.StoreDir != "" {
+	if file.Query.StoreDir != "" {
 		store, err = winstore.Open(winstore.Config{
-			Dir:          cfg.StoreDir,
-			PartDur:      time.Duration(qcfg.PartSeconds) * time.Second,
-			Retention:    cfg.Retention,
-			CompactAfter: cfg.CompactAfter,
+			Dir:          file.Query.StoreDir,
+			PartDur:      seconds(file.Query.PartSeconds),
+			Retention:    seconds(file.Query.RetentionSeconds),
+			CompactAfter: seconds(file.Query.CompactAfterSeconds),
 		})
 		if err != nil {
 			log.Fatalf("flowdns: %v", err)
@@ -275,7 +148,7 @@ func main() {
 	// sealed windows fan into the store.
 	var engine *rollup.Rollup
 	var reload func() error
-	if rcfg.Enabled {
+	if file.Rollup.Enabled {
 		var onSeal func([]rollup.Window)
 		if store != nil {
 			onSeal = func(ws []rollup.Window) {
@@ -287,7 +160,7 @@ func main() {
 			}
 		}
 		var closeRollup func()
-		engine, sink, closeRollup, reload, err = buildRollup(rcfg, sink, outputs, onSeal)
+		engine, sink, closeRollup, reload, err = buildRollup(file.Rollup, sink, outputs, onSeal)
 		if err != nil {
 			log.Fatalf("flowdns: %v", err)
 		}
@@ -313,23 +186,24 @@ func main() {
 	// Query plane: /query/*, /metrics, and /rollups share one mux. It is
 	// served on the query address as a lifecycle service (graceful drain),
 	// and on the legacy -rollup-http address for /rollups compatibility.
+	queryAddr := file.Query.Listen
 	var qsrv *queryapi.Server
-	if cfg.QueryAddr != "" {
+	if queryAddr != "" {
 		qopts := []queryapi.Option{
-			queryapi.WithAddr(cfg.QueryAddr),
+			queryapi.WithAddr(queryAddr),
 			queryapi.WithRollups(engine),
 			queryapi.WithDraining(draining),
 			queryapi.WithPipelineStats(pipelineStats),
-			queryapi.WithCache(qcfg.CacheEntries),
+			queryapi.WithCache(file.Query.CacheEntries),
 		}
 		if reload != nil {
 			qopts = append(qopts, queryapi.WithReload(reload))
 		}
-		if chaos.admin {
+		if file.FaultAdmin {
 			qopts = append(qopts, queryapi.WithFaultAdmin())
-			log.Printf("flowdns: fault admin on http://%s/admin/fault (chaos testing)", cfg.QueryAddr)
+			log.Printf("flowdns: fault admin on http://%s/admin/fault (chaos testing)", queryAddr)
 		}
-		if cluster.role == "worker" {
+		if file.Cluster.Role == "worker" {
 			// The handoff surface is late-bound like the drain flag: the
 			// handlers close over the correlator pointer assigned below,
 			// before Run starts the HTTP service.
@@ -347,10 +221,10 @@ func main() {
 				queryapi.WithAdminHandler("/admin/handoff", lazy),
 				queryapi.WithAdminHandler("/admin/handoff/", lazy),
 				queryapi.WithClusterInfo(func() queryapi.ClusterInfo {
-					return queryapi.ClusterInfo{Role: "worker", Node: cluster.node, VNodes: cluster.vnodes}
+					return queryapi.ClusterInfo{Role: "worker", Node: file.Cluster.Node, VNodes: file.Cluster.VNodes}
 				}),
 			)
-			log.Printf("flowdns: worker %q: shard handoff on http://%s/admin/handoff", cluster.node, cfg.QueryAddr)
+			log.Printf("flowdns: worker %q: shard handoff on http://%s/admin/handoff", file.Cluster.Node, queryAddr)
 		}
 		for _, fn := range extraMetrics {
 			qopts = append(qopts, queryapi.WithExtraMetrics(fn))
@@ -360,9 +234,9 @@ func main() {
 			log.Fatalf("flowdns: %v", err)
 		}
 		services = append(services, qsrv)
-		log.Printf("flowdns: query plane on http://%s/query/ (step/top time-range queries, /metrics, /rollups)", cfg.QueryAddr)
+		log.Printf("flowdns: query plane on http://%s/query/ (step/top time-range queries, /metrics, /rollups)", queryAddr)
 	}
-	if rcfg.HTTP != "" && rcfg.HTTP != cfg.QueryAddr {
+	if file.Rollup.HTTP != "" && file.Rollup.HTTP != queryAddr {
 		var h http.Handler
 		if qsrv != nil {
 			h = qsrv.Handler()
@@ -371,9 +245,9 @@ func main() {
 			mux.Handle("/rollups", rollup.SnapshotHandler(engine, draining))
 			h = mux
 		}
-		ln, err := net.Listen("tcp", rcfg.HTTP)
+		ln, err := net.Listen("tcp", file.Rollup.HTTP)
 		if err != nil {
-			log.Fatalf("flowdns: rollup http listen %s: %v", rcfg.HTTP, err)
+			log.Fatalf("flowdns: rollup http listen %s: %v", file.Rollup.HTTP, err)
 		}
 		log.Printf("flowdns: rollup snapshots on http://%s/rollups", ln.Addr())
 		go func() {
@@ -383,42 +257,14 @@ func main() {
 		}()
 	}
 
-	// Wire sources: every DNS listen address accepts any number of stream
-	// connections; every NetFlow address is one collector socket.
-	var sources []stream.Source
-	for _, addr := range splitAddrs(*dnsListen) {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			log.Fatalf("flowdns: dns listen %s: %v", addr, err)
-		}
-		log.Printf("flowdns: DNS stream listener on %s", ln.Addr())
-		l := stream.NewDNSListener(ln)
-		l.IdleTimeout = cfg.DNSIdleTimeout
-		sources = append(sources, l)
-	}
-	for _, addr := range splitAddrs(*netflowListen) {
-		pc, err := net.ListenPacket("udp", addr)
-		if err != nil {
-			log.Fatalf("flowdns: netflow listen %s: %v", addr, err)
-		}
-		log.Printf("flowdns: NetFlow listener on %s", pc.LocalAddr())
-		src := stream.NewFlowUDPSource(pc)
-		src.BatchSize = cfg.IngestBatch
-		sources = append(sources, src)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	c := core.New(cfg,
+	corr = core.New(cfg,
 		core.WithSink(sink),
 		core.WithSources(sources...),
-		core.WithMetrics(*statsInterval, logStats),
+		core.WithMetrics(c.statsInterval, logStats),
 		core.WithServices(services...),
 	)
-	corr = c
 	if cfg.SnapshotPath != "" {
-		rst, rerr := c.RestoreResult()
+		rst, rerr := corr.RestoreResult()
 		switch {
 		case rerr != nil:
 			// Partial restores keep every validated section; the daemon runs
@@ -431,57 +277,207 @@ func main() {
 		default:
 			log.Printf("flowdns: no snapshot at %s, cold start", cfg.SnapshotPath)
 		}
-		log.Printf("flowdns: checkpointing to %s every %v", cfg.SnapshotPath, c.Config().SnapshotEvery)
+		log.Printf("flowdns: checkpointing to %s every %v", cfg.SnapshotPath, corr.Config().SnapshotEvery)
 	}
 	log.Printf("flowdns: running (variant=%s, lanes=%d, fill-lanes=%d, sink=%s, batch=%d, rollup=%v)",
-		*variant, c.Lanes(), c.FillLanes(), *sinkName, cfg.WriteBatchSize, engine != nil)
-	if err := c.Run(ctx); err != nil {
+		cmp.Or(file.Correlator.Variant, "Main"), corr.Lanes(), corr.FillLanes(), cmp.Or(file.Output.Sink, "tsv"), cfg.WriteBatchSize, engine != nil)
+	if err := corr.Run(ctx); err != nil {
 		log.Fatalf("flowdns: %v", err)
 	}
 	log.Printf("flowdns: drained cleanly")
 }
 
-// configFlags carries the flag values that a -config file overrides.
-type configFlags struct {
-	variant                  string
-	lanes, fillLanes         int
-	fillWorkers, lookWorkers int
-	writeWorkers, batchSize  int
-	ingestBatch              int
-	flushEvery               time.Duration
-	snapshotPath             string
-	snapshotEvery            time.Duration
-	sampleLowWater           float64
-	sampleHighWater          float64
-	sampleMaxShed            float64
-	dnsListen, netflowListen *string
-	dnsIdle                  time.Duration
-	retry                    *config.RetryConfig
-	faultAdmin               bool
-	out, sink                string
-	sinkURL, measurement     string
-	skipMisses               bool
-	rollup                   config.RollupConfig
-	query                    config.QueryConfig
-	role, forwardTo, node    string
-	vnodes                   int
+// cli is the parsed command line. Every settings flag binds straight onto
+// a config.File field, so flags are a view onto the configuration file —
+// same fields, same Validate — and only the process-level switches that
+// have no JSON key live beside it.
+type cli struct {
+	file config.File
+
+	configPath    string
+	exampleConfig bool
+	statsInterval time.Duration
+	faults        string
+
+	// -retry-sink/-retry-spill describe the output's optional retry block,
+	// which is a pointer in the File; resolve attaches it.
+	retrySink bool
+	retry     config.RetryConfig
 }
 
-// clusterSpec is the resolved cluster topology: flag or config file, one
-// shape for the rest of the daemon.
-type clusterSpec struct {
-	role   string
-	node   string
-	vnodes int
-	nodes  []forward.Node
+// bindFlags registers the daemon's flags on fs. Each default is either
+// stored in the File (and so shown by -h) or, for the whole-second and
+// millisecond fields whose 0 already means "the default", only shown.
+func bindFlags(fs *flag.FlagSet) *cli {
+	c := &cli{}
+	f := &c.file
+	fs.StringVar(&c.configPath, "config", "", "JSON configuration file (overrides the flags below; see -example-config)")
+	fs.BoolVar(&c.exampleConfig, "example-config", false, "print an example configuration file and exit")
+	fs.DurationVar(&c.statsInterval, "stats-interval", 30*time.Second, "stats reporting interval")
+	fs.StringVar(&c.faults, "faults", "", "arm failpoints at boot: name=spec[;name=spec...], same grammar as the FLOWDNS_FAULTS env var (chaos testing)")
+
+	f.DNSStreams = []config.StreamConfig{{Listen: ":5353"}}
+	f.FlowStreams = []config.StreamConfig{{Listen: ":2055"}}
+	fs.Var(listenFlag{&f.DNSStreams}, "dns-listen", "comma-separated TCP listen addresses for DNS streams")
+	fs.Var(listenFlag{&f.FlowStreams}, "netflow-listen", "comma-separated UDP listen addresses for NetFlow/IPFIX streams")
+
+	o := &f.Output
+	fs.StringVar(&o.Path, "out", "-", "output file for correlated flows ('-' = stdout)")
+	fs.StringVar(&o.Sink, "sink", "tsv", "output sink: "+strings.Join(core.SinkNames(), ", "))
+	fs.StringVar(&o.URL, "sink-url", "", "HTTP endpoint for -sink influx (e.g. http://influx:8086/write?db=flowdns; '' = write line protocol to -out)")
+	fs.StringVar(&o.Measurement, "measurement", "", "Influx measurement name for -sink influx ('' = flowdns)")
+	fs.BoolVar(&o.SkipMisses, "skip-misses", false, "do not write rows for uncorrelated flows")
+	fs.BoolVar(&c.retrySink, "retry-sink", false, "wrap the output sink in a retry/spill wrapper: timeout-bounded attempts, doubling backoff, bounded buffering across sink outages")
+	fs.StringVar(&c.retry.SpillPath, "retry-spill", "", "on-disk spill file for -retry-sink, replayed after recovery or restart ('' = memory-only)")
+
+	cc := &f.Correlator
+	fs.StringVar(&cc.Variant, "variant", "Main", "benchmark variant: Main, NoSplit, NoClearUp, NoRotation, NoLong, ExactTTL")
+	fs.IntVar(&cc.Lanes, "lanes", 0, "correlation lanes (flows partitioned by dst IP; 0 = one lane per split)")
+	fs.IntVar(&cc.FillLanes, "fill-lanes", 0, "fill lanes (DNS records partitioned by answer IP; 0 = mirror -lanes)")
+	fs.IntVar(&cc.FillUpWorkers, "fillup-workers", 4, "FillUp workers")
+	fs.IntVar(&cc.LookUpWorkers, "lookup-workers", core.DefaultNumSplit, "LookUp workers (distributed across lanes, min one per lane)")
+	fs.IntVar(&cc.WriteWorkers, "write-workers", 2, "Write workers")
+	fs.IntVar(&cc.WriteBatchSize, "batch-size", core.DefaultWriteBatchSize, "correlated flows per sink WriteBatch call")
+	fs.IntVar(&cc.IngestBatch, "ingest-batch", 0, "UDP datagrams drained per batched socket read (recvmmsg ring size; 0 = default 32, 1 = single-read loop)")
+	fs.Var(unitFlag{&cc.WriteFlushMS, time.Millisecond, core.DefaultWriteFlushInterval}, "flush-interval", "max wait for a write batch to fill")
+	fs.StringVar(&cc.SnapshotPath, "snapshot", "", "warm-restart checkpoint file: restore on boot, checkpoint periodically and on shutdown ('' = disabled)")
+	fs.Var(unitFlag{&cc.SnapshotEverySeconds, time.Second, core.DefaultSnapshotInterval}, "snapshot-every", "checkpoint cadence when -snapshot is set")
+	fs.Float64Var(&cc.SampleMaxShed, "sample-max-shed", 0, "adaptive sampler shed ceiling in (0,1]: fraction of offered records deliberately shed (and counted) at full buffers (0 = disabled)")
+	fs.Float64Var(&cc.SampleLowWater, "sample-low-water", 0, "buffer fill below which the sampler sheds nothing (0 = default 0.5; requires -sample-max-shed)")
+	fs.Float64Var(&cc.SampleHighWater, "sample-high-water", 0, "buffer fill at which the shed rate reaches -sample-max-shed (0 = default 0.9; requires -sample-max-shed)")
+	fs.Var(unitFlag{&cc.DNSIdleTimeoutSeconds, time.Second, 0}, "dns-idle-timeout", "close a DNS TCP stream that goes silent for this long (0 = keep wedged streams open)")
+
+	r := &f.Rollup
+	fs.BoolVar(&r.Enabled, "rollup", false, "enable online attribution rollups (service × origin-AS × DBL category)")
+	fs.Var(unitFlag{&r.WindowSeconds, time.Second, rollup.DefaultWindow}, "window", "rollup window rotation interval (whole seconds)")
+	fs.StringVar(&r.Path, "rollup-out", "rollups.tsv", "sealed rollup window export file ('-' = stdout, '' = none)")
+	fs.StringVar(&r.Format, "rollup-format", "tsv", "rollup export format: tsv, json")
+	fs.StringVar(&r.HTTP, "rollup-http", "", "listen address for the /rollups live snapshot endpoint ('' = disabled)")
+	fs.StringVar(&r.BGPTable, "bgp-table", "", "prefix→origin-ASN file for rollup AS attribution")
+	fs.StringVar(&r.Blocklist, "dbl", "", "domain blocklist file for rollup DBL-category attribution")
+
+	fs.BoolVar(&f.FaultAdmin, "fault-admin", false, "mount /admin/fault on the query server: GET failpoint catalog, POST arm/disarm (chaos testing)")
+
+	q := &f.Query
+	fs.StringVar(&q.Listen, "query-addr", "", "query-plane HTTP listen address serving /query/*, /metrics, /rollups ('' = disabled; requires -store-dir unless -role is set)")
+	fs.StringVar(&q.StoreDir, "store-dir", "", "window-store partition directory persisting sealed rollup windows ('' = disabled; requires -rollup)")
+	fs.Var(unitFlag{&q.RetentionSeconds, time.Second, 0}, "retention", "delete stored partitions older than this (0 = keep everything)")
+	fs.Var(unitFlag{&q.CompactAfterSeconds, time.Second, 0}, "compact-after", "compact a partition this long after its interval ends (0 = default 10m, negative = never)")
+
+	cl := &f.Cluster
+	fs.StringVar(&cl.Role, "role", "", "cluster role: '' standalone, 'router' (consistent-hash fan-out to -forward-to nodes, no local store), 'worker' (correlator also serving /admin/handoff)")
+	fs.Var(nodesFlag{&cl.Nodes}, "forward-to", "router fan-out ring: name=flowAddr/dnsAddr[,name=...] (requires -role router)")
+	fs.StringVar(&cl.Node, "node", "", "this process's ring name, for handoff placement and cluster health (requires -role)")
+	fs.IntVar(&cl.VNodes, "vnodes", 0, "virtual nodes per ring member (0 = default 64); must match across the cluster")
+	return c
 }
 
-// chaosConfig is the resolved fault-injection surface: the failpoints to arm
-// at boot and whether /admin/fault is mounted.
-type chaosConfig struct {
-	faults map[string]string
-	admin  bool
+// resolve returns the validated configuration the daemon runs from: the
+// -config file when one is given (it overrides the settings flags),
+// otherwise the File the flags were bound onto.
+func (c *cli) resolve() (*config.File, error) {
+	if c.configPath != "" {
+		file, err := config.Load(c.configPath)
+		if err != nil {
+			return nil, err
+		}
+		// As in v1, a config file that names no output path falls back to
+		// the -out flag rather than silently switching to stdout.
+		if file.Output.Path == "" && file.Output.NeedsWriter() {
+			file.Output.Path = c.file.Output.Path
+		}
+		return file, nil
+	}
+	if c.retrySink {
+		c.file.Output.Retry = &c.retry
+	} else if c.retry.SpillPath != "" {
+		return nil, errors.New("-retry-spill set without -retry-sink")
+	}
+	return &c.file, c.file.Validate()
 }
+
+// unitFlag presents an integer config field counted in unit (seconds or
+// milliseconds) as a duration flag. A fractional request rounds away from
+// zero rather than truncating toward 0, which in these fields means "use
+// the default"; def is that default, shown by -h while the field stays 0.
+type unitFlag struct {
+	n    *int
+	unit time.Duration
+	def  time.Duration
+}
+
+func (u unitFlag) String() string {
+	if u.n == nil || *u.n == 0 {
+		return u.def.String()
+	}
+	return (time.Duration(*u.n) * u.unit).String()
+}
+
+func (u unitFlag) Set(s string) error {
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return err
+	}
+	round := u.unit - 1
+	if d < 0 {
+		round = -round
+	}
+	*u.n = int((d + round) / u.unit)
+	return nil
+}
+
+// listenFlag presents a stream list as comma-separated listen addresses.
+type listenFlag struct{ streams *[]config.StreamConfig }
+
+func (l listenFlag) String() string {
+	if l.streams == nil {
+		return ""
+	}
+	addrs := make([]string, len(*l.streams))
+	for i, s := range *l.streams {
+		addrs[i] = s.Listen
+	}
+	return strings.Join(addrs, ",")
+}
+
+func (l listenFlag) Set(s string) error {
+	*l.streams = nil
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			*l.streams = append(*l.streams, config.StreamConfig{Listen: a})
+		}
+	}
+	return nil
+}
+
+// nodesFlag presents the cluster node list in the -forward-to grammar.
+type nodesFlag struct{ nodes *[]config.ClusterNode }
+
+func (n nodesFlag) String() string {
+	if n.nodes == nil {
+		return ""
+	}
+	parts := make([]string, len(*n.nodes))
+	for i, nd := range *n.nodes {
+		parts[i] = nd.Name + "=" + nd.Flow + "/" + nd.DNS
+	}
+	return strings.Join(parts, ",")
+}
+
+func (n nodesFlag) Set(s string) error {
+	nodes, err := forward.ParseNodes(s)
+	if err != nil {
+		return err
+	}
+	*n.nodes = nil
+	for _, nd := range nodes {
+		*n.nodes = append(*n.nodes, config.ClusterNode{Name: nd.Name, Flow: nd.FlowAddr, DNS: nd.DNSAddr})
+	}
+	return nil
+}
+
+// seconds converts a config field counted in whole seconds.
+func seconds(n int) time.Duration { return time.Duration(n) * time.Second }
 
 // armedFaults lists the currently armed failpoint specs for the startup log.
 func armedFaults() []string {
@@ -494,121 +490,54 @@ func armedFaults() []string {
 	return out
 }
 
-// loadConfig resolves the correlator config, output list, and rollup/query
-// settings from the config file when given, from flags otherwise.
-func loadConfig(path string, f configFlags) (core.Config, []config.OutputConfig, config.RollupConfig, config.QueryConfig, chaosConfig, clusterSpec) {
-	if path == "" {
-		cluster := clusterSpec{role: f.role, node: f.node, vnodes: f.vnodes}
-		if f.role == "router" {
-			nodes, err := forward.ParseNodes(f.forwardTo)
-			if err != nil {
-				log.Fatalf("flowdns: -forward-to: %v", err)
-			}
-			cluster.nodes = nodes
-		}
-		cfg := core.ConfigForVariant(core.Variant(f.variant))
-		cfg.Lanes = f.lanes
-		cfg.FillLanes = f.fillLanes
-		cfg.FillUpWorkers = f.fillWorkers
-		cfg.LookUpWorkers = f.lookWorkers
-		cfg.WriteWorkers = f.writeWorkers
-		cfg.WriteBatchSize = f.batchSize
-		cfg.WriteFlushInterval = f.flushEvery
-		cfg.IngestBatch = f.ingestBatch
-		cfg.SnapshotPath = f.snapshotPath
-		cfg.SnapshotEvery = f.snapshotEvery
-		cfg.SampleLowWater = f.sampleLowWater
-		cfg.SampleHighWater = f.sampleHighWater
-		cfg.SampleMaxShed = f.sampleMaxShed
-		cfg.QueryAddr = f.query.Listen
-		cfg.StoreDir = f.query.StoreDir
-		cfg.Retention = time.Duration(f.query.RetentionSeconds) * time.Second
-		cfg.CompactAfter = time.Duration(f.query.CompactAfterSeconds) * time.Second
-		cfg.DNSIdleTimeout = f.dnsIdle
-		return cfg, []config.OutputConfig{{Path: f.out, Sink: f.sink, SkipMisses: f.skipMisses,
-				URL: f.sinkURL, Measurement: f.measurement, Retry: f.retry}}, f.rollup, f.query,
-			chaosConfig{admin: f.faultAdmin}, cluster
-	}
-	file, err := config.Load(path)
-	if err != nil {
-		log.Fatalf("flowdns: %v", err)
-	}
-	cfg, err := file.CoreConfig()
-	if err != nil {
-		log.Fatalf("flowdns: %v", err)
-	}
-	var dnsAddrs, flowAddrs []string
+// listen binds every configured input: each DNS address accepts any number
+// of stream connections, each NetFlow address is one collector socket.
+func listen(file *config.File) ([]stream.Source, error) {
+	var sources []stream.Source
 	for _, s := range file.DNSStreams {
-		dnsAddrs = append(dnsAddrs, s.Listen)
+		ln, err := net.Listen("tcp", s.Listen)
+		if err != nil {
+			return nil, fmt.Errorf("dns listen %s: %w", s.Listen, err)
+		}
+		log.Printf("flowdns: DNS stream listener on %s", ln.Addr())
+		l := stream.NewDNSListener(ln)
+		l.IdleTimeout = seconds(file.Correlator.DNSIdleTimeoutSeconds)
+		sources = append(sources, l)
 	}
 	for _, s := range file.FlowStreams {
-		flowAddrs = append(flowAddrs, s.Listen)
+		pc, err := net.ListenPacket("udp", s.Listen)
+		if err != nil {
+			return nil, fmt.Errorf("netflow listen %s: %w", s.Listen, err)
+		}
+		log.Printf("flowdns: NetFlow listener on %s", pc.LocalAddr())
+		src := stream.NewFlowUDPSource(pc)
+		src.BatchSize = file.Correlator.IngestBatch
+		sources = append(sources, src)
 	}
-	*f.dnsListen = strings.Join(dnsAddrs, ",")
-	*f.netflowListen = strings.Join(flowAddrs, ",")
-	outputs := file.AllOutputs()
-	// As in v1, a config file that names no output path falls back to the
-	// -out flag rather than silently switching to stdout.
-	if outputs[0].Path == "" && outputs[0].NeedsWriter() {
-		outputs[0].Path = f.out
-	}
-	cluster := clusterSpec{
-		role:   file.Cluster.Role,
-		node:   file.Cluster.Node,
-		vnodes: file.Cluster.VNodes,
-	}
-	for _, n := range file.Cluster.Nodes {
-		cluster.nodes = append(cluster.nodes, forward.Node{Name: n.Name, FlowAddr: n.Flow, DNSAddr: n.DNS})
-	}
-	return cfg, outputs, file.Rollup, file.Query, chaosConfig{faults: file.Faults, admin: file.FaultAdmin}, cluster
+	return sources, nil
 }
 
 // runRouter is the -role router program: consistent-hash fan-out of every
 // ingested record to the worker ring, plus /ring, /metrics, and
 // /query/health on the query address. Terminates like the daemon:
 // SIGINT/SIGTERM stops intake, flushes the per-node sinks, and exits.
-func runRouter(cfg core.Config, cl clusterSpec, dnsAddrs, flowAddrs []string) {
-	r, err := forward.NewRouter(forward.Config{
-		Nodes:  cl.nodes,
-		VNodes: cl.vnodes,
-		Key:    cfg.Key,
-	})
+func runRouter(ctx context.Context, file *config.File, key core.LookupKey, sources []stream.Source) {
+	nodes := make([]forward.Node, len(file.Cluster.Nodes))
+	for i, n := range file.Cluster.Nodes {
+		nodes[i] = forward.Node{Name: n.Name, FlowAddr: n.Flow, DNSAddr: n.DNS}
+	}
+	r, err := forward.NewRouter(forward.Config{Nodes: nodes, VNodes: file.Cluster.VNodes, Key: key})
 	if err != nil {
 		log.Fatalf("flowdns: %v", err)
 	}
-	var sources []stream.Source
-	for _, addr := range dnsAddrs {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			log.Fatalf("flowdns: dns listen %s: %v", addr, err)
-		}
-		log.Printf("flowdns: DNS stream listener on %s", ln.Addr())
-		l := stream.NewDNSListener(ln)
-		l.IdleTimeout = cfg.DNSIdleTimeout
-		sources = append(sources, l)
-	}
-	for _, addr := range flowAddrs {
-		pc, err := net.ListenPacket("udp", addr)
-		if err != nil {
-			log.Fatalf("flowdns: netflow listen %s: %v", addr, err)
-		}
-		log.Printf("flowdns: NetFlow listener on %s", pc.LocalAddr())
-		src := stream.NewFlowUDPSource(pc)
-		src.BatchSize = cfg.IngestBatch
-		sources = append(sources, src)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if cfg.QueryAddr != "" {
+	if addr := file.Query.Listen; addr != "" {
 		qsrv, err := queryapi.New(nil,
-			queryapi.WithAddr(cfg.QueryAddr),
+			queryapi.WithAddr(addr),
 			queryapi.WithExtraMetrics(r.MetricsContributor()),
 			queryapi.WithAdminHandler("/ring", r.RingHandler()),
 			queryapi.WithClusterInfo(func() queryapi.ClusterInfo {
 				return queryapi.ClusterInfo{
-					Role: "router", Node: cl.node,
+					Role: "router", Node: file.Cluster.Node,
 					Nodes: r.Ring().Nodes(), VNodes: r.Ring().VNodes(),
 				}
 			}),
@@ -621,7 +550,7 @@ func runRouter(cfg core.Config, cl clusterSpec, dnsAddrs, flowAddrs []string) {
 				log.Printf("flowdns: router admin: %v", err)
 			}
 		}()
-		log.Printf("flowdns: router admin on http://%s/ring", cfg.QueryAddr)
+		log.Printf("flowdns: router admin on http://%s/ring", addr)
 	}
 	log.Printf("flowdns: router fanning out to %s (vnodes=%d)",
 		strings.Join(r.Ring().Nodes(), ","), r.Ring().VNodes())
@@ -633,17 +562,6 @@ func runRouter(cfg core.Config, cl clusterSpec, dnsAddrs, flowAddrs []string) {
 			st.Node.Name, st.Flows, st.DNS, st.DNSCname, st.DNSDropped, st.Retry.Dropped)
 	}
 	log.Printf("flowdns: router drained")
-}
-
-// windowSeconds converts the -window duration to the config field's whole
-// seconds, rounding fractional requests up (as rollup.New documents)
-// rather than truncating toward 0 (which would mean "use the default").
-// Negative values are rejected, matching the config-file validation.
-func windowSeconds(d time.Duration) int {
-	if d < 0 {
-		log.Fatalf("flowdns: negative -window %v", d)
-	}
-	return int((d + time.Second - 1) / time.Second)
 }
 
 // buildRollup constructs the attribution rollup engine and its sink, and
@@ -854,16 +772,6 @@ func influxSinkMetrics(label string, is *influxsink.Sink) func(*metrics.PromWrit
 		p.Counter("flowdns_influx_dropped_records_total", "Buffered records dropped at the buffer bound.", lbl, st.DroppedRecords)
 		p.Counter("flowdns_influx_dropped_batches_total", "Bound-enforcement passes that dropped data.", lbl, st.DroppedBatches)
 	}
-}
-
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 func logStats(st core.Stats) {

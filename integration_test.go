@@ -329,7 +329,7 @@ func TestWireFidelity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat := stream.FlattenResponse(got, ts)
+		flat := stream.FlattenResponseInto(nil, got, ts)
 		if len(flat) != 1 {
 			t.Fatalf("flatten = %d records", len(flat))
 		}

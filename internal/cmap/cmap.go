@@ -124,10 +124,6 @@ func Hash(key string) uint32 { return fnv32(key) }
 // lookups find entries stored with string keys.
 func HashBytes(key []byte) uint32 { return fnv32(key) }
 
-func (m *Map) shardFor(key string) *shard {
-	return m.shardForHash(fnv32(key))
-}
-
 func (m *Map) shardForHash(h uint32) *shard {
 	// Fold the high bits in before masking: callers above (the
 	// correlator's store) carve lane and split indices out of the low
@@ -226,20 +222,6 @@ func (m *Map) SetItems(items []Item) {
 	}
 }
 
-// SetIfAbsent stores value under key only if the key is not already present.
-// It reports whether the value was stored.
-func (m *Map) SetIfAbsent(key, value string) bool {
-	s := m.shardFor(key)
-	s.mu.Lock()
-	_, ok := s.m[key]
-	if !ok {
-		s.m[key] = entry{v: value}
-		m.count.Add(1)
-	}
-	s.mu.Unlock()
-	return !ok
-}
-
 // Get returns the value stored under key and whether it was present.
 func (m *Map) Get(key string) (string, bool) {
 	return m.GetHash(fnv32(key), key)
@@ -265,16 +247,11 @@ func (m *Map) GetHashExpire(h uint32, key string) (string, int64, bool) {
 	return e.v, e.exp, ok
 }
 
-// GetBytes looks key up without any allocation: 16-byte keys probe the
+// GetBytesHash looks key up without any allocation: 16-byte keys probe the
 // binary key space (an inline array probe — what keeps the correlator's
 // LookUp hit path at zero allocations per flow), other lengths probe the
 // string space through the compiler's map-index-by-converted-byte-slice
-// optimization.
-func (m *Map) GetBytes(key []byte) (string, bool) {
-	return m.GetBytesHash(HashBytes(key), key)
-}
-
-// GetBytesHash is GetBytes with a caller-supplied HashBytes(key).
+// optimization. h is the caller's hash of key, as for SetBytesHash.
 func (m *Map) GetBytesHash(h uint32, key []byte) (string, bool) {
 	s := m.shardForHash(h)
 	if len(key) == 16 {
@@ -311,25 +288,6 @@ func (m *Map) GetBytesHashExpire(h uint32, key []byte) (string, int64, bool) {
 // lands, exactly as a probe racing that insert could miss the entry.
 func (m *Map) Empty() bool { return m.count.Load() == 0 }
 
-// Has reports whether key is present.
-func (m *Map) Has(key string) bool {
-	_, ok := m.Get(key)
-	return ok
-}
-
-// Remove deletes key. It reports whether the key was present.
-func (m *Map) Remove(key string) bool {
-	s := m.shardFor(key)
-	s.mu.Lock()
-	_, ok := s.m[key]
-	delete(s.m, key)
-	if ok {
-		m.count.Add(-1)
-	}
-	s.mu.Unlock()
-	return ok
-}
-
 // Len returns the total number of entries across all shards. The result is a
 // point-in-time aggregate: concurrent mutations may be partially reflected.
 func (m *Map) Len() int {
@@ -355,54 +313,12 @@ func (m *Map) Clear() {
 	}
 }
 
-// Items returns a copy of the full contents. Binary keys appear as the raw
-// 16-byte string form of their key. Used by tests and by buffer rotation
-// fallbacks; O(n) and allocates.
-func (m *Map) Items() map[string]string {
-	out := make(map[string]string, m.Len())
-	for _, s := range m.shards {
-		s.mu.RLock()
-		for k, e := range s.m {
-			out[k] = e.v
-		}
-		s.mb.iterate(func(sl *oaSlot) bool {
-			out[string(sl.key[:])] = sl.v
-			return true
-		})
-		s.mu.RUnlock()
-	}
-	return out
-}
-
-// Range calls fn for every key/value pair until fn returns false. Each shard
-// is read-locked while it is being iterated; fn must not call back into the
-// same Map's mutating methods for keys in the shard being iterated.
-// Binary-space entries are visited too, their keys rendered as the raw
-// 16-byte string form.
-func (m *Map) Range(fn func(key, value string) bool) {
-	for _, s := range m.shards {
-		s.mu.RLock()
-		for k, e := range s.m {
-			if !fn(k, e.v) {
-				s.mu.RUnlock()
-				return
-			}
-		}
-		if !s.mb.iterate(func(sl *oaSlot) bool { return fn(string(sl.key[:]), sl.v) }) {
-			s.mu.RUnlock()
-			return
-		}
-		s.mu.RUnlock()
-	}
-}
-
-// RangeExpire is Range with the stored expiry: fn receives each entry's
-// (key, value, exp) triple — exp in UnixNano, 0 = never expires — until it
-// returns false. Shards are read-locked one at a time (lock-striped, like
-// Range), so a long iteration never freezes the whole map; fn must not call
-// back into the same Map's mutating methods for keys in the shard being
-// iterated. Binary-space entries are visited with their keys rendered as
-// the raw 16-byte string form.
+// RangeExpire calls fn with each entry's (key, value, exp) triple — exp in
+// UnixNano, 0 = never expires — until it returns false. Shards are
+// read-locked one at a time, so a long iteration never freezes the whole
+// map; fn must not call back into the same Map's mutating methods for keys
+// in the shard being iterated. Binary-space entries are visited with their
+// keys rendered as the raw 16-byte string form.
 func (m *Map) RangeExpire(fn func(key, value string, exp int64) bool) {
 	for _, s := range m.shards {
 		s.mu.RLock()
@@ -523,48 +439,29 @@ func (m *Map) ShardCount() int { return len(m.shards) }
 // Snapshot atomically (per shard) moves the contents of m into dst and
 // clears m. It implements FlowDNS buffer rotation: "copy the contents of the
 // active hashmaps into the inactive hashmap and clear up the active
-// hashmap". dst's previous contents are discarded first. When both maps have
-// the same shard count, inner maps are handed over by pointer swap, making
-// rotation O(shards) instead of O(entries). The differing-shard-count
-// fallback re-shards with this package's own hash (Hash/HashBytes);
-// callers that address entries with a caller-supplied hash (the
-// correlator's ipHash) must keep shard counts equal across generations —
-// as the store does by construction — or post-Snapshot probes would look
-// in the wrong shard.
+// hashmap". dst's previous contents are discarded. Inner maps are handed
+// over by pointer swap, making rotation O(shards) instead of O(entries),
+// so both maps must have the same shard count — the store builds every
+// generation with one count, and entries addressed by a caller-supplied
+// hash would land in the wrong shard under any re-hash; a mismatch panics.
 func (m *Map) Snapshot(dst *Map) {
 	if dst == nil {
 		return
 	}
-	if len(dst.shards) == len(m.shards) {
-		for i, s := range m.shards {
-			d := dst.shards[i]
-			s.mu.Lock()
-			d.mu.Lock()
-			dst.count.Add(int64(len(s.m) + s.mb.len() - len(d.m) - d.mb.len()))
-			m.count.Add(-int64(len(s.m) + s.mb.len()))
-			d.m = s.m
-			d.mb = s.mb
-			s.m = make(map[string]entry)
-			s.mb.reset()
-			d.mu.Unlock()
-			s.mu.Unlock()
-		}
-		return
+	if len(dst.shards) != len(m.shards) {
+		panic("cmap: Snapshot between maps of different shard counts")
 	}
-	dst.Clear()
-	for _, s := range m.shards {
+	for i, s := range m.shards {
+		d := dst.shards[i]
 		s.mu.Lock()
-		for k, e := range s.m {
-			dst.SetHashExpire(fnv32(k), k, e.v, e.exp)
-		}
-		s.mb.iterate(func(sl *oaSlot) bool {
-			key := sl.key
-			dst.SetBytesHashExpire(fnv32(key[:]), key[:], sl.v, sl.exp)
-			return true
-		})
+		d.mu.Lock()
+		dst.count.Add(int64(len(s.m) + s.mb.len() - len(d.m) - d.mb.len()))
 		m.count.Add(-int64(len(s.m) + s.mb.len()))
+		d.m = s.m
+		d.mb = s.mb
 		s.m = make(map[string]entry)
 		s.mb.reset()
+		d.mu.Unlock()
 		s.mu.Unlock()
 	}
 }

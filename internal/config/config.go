@@ -25,7 +25,10 @@ import (
 	_ "repro/internal/influxsink"
 )
 
-// File is the top-level configuration document.
+// File is the top-level configuration document, and the daemon's single
+// resolved form of its settings: the command-line flags of cmd/flowdns bind
+// onto a File too, so a flag and its JSON key are the same field, checked
+// by the same Validate.
 type File struct {
 	// DNSStreams lists TCP listen addresses receiving framed DNS responses.
 	DNSStreams []StreamConfig `json:"dns_streams"`
@@ -210,9 +213,6 @@ type QueryConfig struct {
 	CacheEntries int `json:"cache_entries"`
 }
 
-// Enabled reports whether any query-plane component is configured.
-func (qc QueryConfig) Enabled() bool { return qc.Listen != "" || qc.StoreDir != "" }
-
 // Window returns the rotation interval as a duration.
 func (rc RollupConfig) Window() time.Duration {
 	if rc.WindowSeconds <= 0 {
@@ -221,7 +221,9 @@ func (rc RollupConfig) Window() time.Duration {
 	return time.Duration(rc.WindowSeconds) * time.Second
 }
 
-// CorrelatorConfig mirrors the tunable subset of core.Config.
+// CorrelatorConfig mirrors the tunable subset of core.Config, plus the two
+// per-source knobs (IngestBatch, DNSIdleTimeoutSeconds) the daemon applies
+// to the listeners it wires rather than to the correlator.
 type CorrelatorConfig struct {
 	Variant         string `json:"variant"`            // Main (default), NoSplit, ...
 	LookupKey       string `json:"lookup_key"`         // source (default), destination, both
@@ -276,29 +278,39 @@ func Load(path string) (*File, error) {
 	return Parse(data)
 }
 
-// Parse validates a configuration document.
+// Parse decodes and validates a configuration document.
 func Parse(data []byte) (*File, error) {
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
 	}
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
+	return &f, nil
+}
+
+// Validate checks the whole document. It is the only settings validation
+// the daemon has: a File built from command-line flags passes through here
+// exactly as a parsed one does.
+func (f *File) Validate() error {
 	if len(f.DNSStreams) == 0 && len(f.FlowStreams) == 0 {
-		return nil, fmt.Errorf("config: no input streams configured")
+		return fmt.Errorf("config: no input streams configured")
 	}
 	for i, s := range f.DNSStreams {
 		if s.Listen == "" {
-			return nil, fmt.Errorf("config: dns_streams[%d]: missing listen address", i)
+			return fmt.Errorf("config: dns_streams[%d]: missing listen address", i)
 		}
 		if !dnsFormats[s.Format] {
-			return nil, fmt.Errorf("config: dns_streams[%d]: unsupported format %q", i, s.Format)
+			return fmt.Errorf("config: dns_streams[%d]: unsupported format %q", i, s.Format)
 		}
 	}
 	for i, s := range f.FlowStreams {
 		if s.Listen == "" {
-			return nil, fmt.Errorf("config: flow_streams[%d]: missing listen address", i)
+			return fmt.Errorf("config: flow_streams[%d]: missing listen address", i)
 		}
 		if !flowFormats[s.Format] {
-			return nil, fmt.Errorf("config: flow_streams[%d]: unsupported format %q", i, s.Format)
+			return fmt.Errorf("config: flow_streams[%d]: unsupported format %q", i, s.Format)
 		}
 	}
 	registered := core.SinkNames()
@@ -310,20 +322,20 @@ func Parse(data []byte) (*File, error) {
 			field = fmt.Sprintf("outputs[%d]", i-1)
 		}
 		if o.Sink == "multi" {
-			return nil, fmt.Errorf("config: %s: \"multi\" is implied by listing several outputs", field)
+			return fmt.Errorf("config: %s: \"multi\" is implied by listing several outputs", field)
 		}
 		if o.Sink != "" && !slices.Contains(registered, o.Sink) {
-			return nil, fmt.Errorf("config: %s: unknown sink %q (have %v)", field, o.Sink, registered)
+			return fmt.Errorf("config: %s: unknown sink %q (have %v)", field, o.Sink, registered)
 		}
 		if o.URL != "" && o.Sink != "influx" {
-			return nil, fmt.Errorf("config: %s: url is only supported by the \"influx\" sink, not %q", field, o.Sink)
+			return fmt.Errorf("config: %s: url is only supported by the \"influx\" sink, not %q", field, o.Sink)
 		}
 		if !o.NeedsWriter() && o.Path != "" && o.Path != "-" {
-			return nil, fmt.Errorf("config: %s: sink %q does not write to a file; remove path %q", field, o.Sink, o.Path)
+			return fmt.Errorf("config: %s: sink %q does not write to a file; remove path %q", field, o.Sink, o.Path)
 		}
 		if o.Retry != nil {
 			if o.Retry.BackoffMS < 0 || o.Retry.TimeoutMS < 0 || o.Retry.SpillLimitBytes < 0 {
-				return nil, fmt.Errorf("config: %s: negative retry durations or spill limit", field)
+				return fmt.Errorf("config: %s: negative retry durations or spill limit", field)
 			}
 		}
 	}
@@ -331,70 +343,78 @@ func Parse(data []byte) (*File, error) {
 	// the daemon, where every failpoint-bearing package is linked.
 	for name, spec := range f.Faults {
 		if name == "" {
-			return nil, fmt.Errorf("config: faults: empty failpoint name")
+			return fmt.Errorf("config: faults: empty failpoint name")
 		}
 		if err := fault.ValidateSpec(spec); err != nil {
-			return nil, fmt.Errorf("config: faults: %s: %w", name, err)
+			return fmt.Errorf("config: faults: %s: %w", name, err)
 		}
 	}
 	if f.Rollup.Enabled {
 		if _, err := rollup.ParseFormat(f.Rollup.Format); err != nil {
-			return nil, fmt.Errorf("config: rollup: %w", err)
-		}
-		if f.Rollup.WindowSeconds < 0 {
-			return nil, fmt.Errorf("config: rollup: negative window_seconds %d", f.Rollup.WindowSeconds)
-		}
-		if f.Rollup.Shards < 0 {
-			return nil, fmt.Errorf("config: rollup: negative shards %d", f.Rollup.Shards)
+			return fmt.Errorf("config: rollup: %w", err)
 		}
 	}
-	if f.Query.Enabled() {
-		if f.Query.StoreDir != "" && !f.Rollup.Enabled {
-			return nil, fmt.Errorf("config: query: store_dir requires rollup.enabled (the store persists sealed rollup windows)")
-		}
-		// A cluster process serves health, metrics, and admin surfaces on
-		// the query address even without a window store; standalone, a
-		// listen address with nothing behind it is a misconfiguration.
-		if f.Query.Listen != "" && f.Query.StoreDir == "" && f.Cluster.Role == "" {
-			return nil, fmt.Errorf("config: query: listen without store_dir (nothing to serve)")
-		}
-		if f.Query.PartSeconds < 0 {
-			return nil, fmt.Errorf("config: query: negative part_seconds %d", f.Query.PartSeconds)
-		}
-		if f.Query.RetentionSeconds < 0 {
-			return nil, fmt.Errorf("config: query: negative retention_seconds %d", f.Query.RetentionSeconds)
-		}
-		if f.Query.CacheEntries < 0 {
-			return nil, fmt.Errorf("config: query: negative cache_entries %d", f.Query.CacheEntries)
-		}
+	if f.Rollup.WindowSeconds < 0 {
+		return fmt.Errorf("config: rollup: negative window_seconds %d", f.Rollup.WindowSeconds)
+	}
+	if f.Rollup.Shards < 0 {
+		return fmt.Errorf("config: rollup: negative shards %d", f.Rollup.Shards)
+	}
+	if f.Query.StoreDir != "" && !f.Rollup.Enabled {
+		return fmt.Errorf("config: query: store_dir requires rollup.enabled (the store persists sealed rollup windows)")
+	}
+	// A cluster process serves health, metrics, and admin surfaces on the
+	// query address even without a window store; standalone, a listen
+	// address with nothing behind it is a misconfiguration.
+	if f.Query.Listen != "" && f.Query.StoreDir == "" && f.Cluster.Role == "" {
+		return fmt.Errorf("config: query: listen without store_dir (nothing to serve)")
+	}
+	if f.Query.PartSeconds < 0 {
+		return fmt.Errorf("config: query: negative part_seconds %d", f.Query.PartSeconds)
+	}
+	if f.Query.RetentionSeconds < 0 {
+		return fmt.Errorf("config: query: negative retention_seconds %d", f.Query.RetentionSeconds)
+	}
+	if f.Query.CacheEntries < 0 {
+		return fmt.Errorf("config: query: negative cache_entries %d", f.Query.CacheEntries)
 	}
 	switch f.Cluster.Role {
 	case "", "worker", "router":
 	default:
-		return nil, fmt.Errorf("config: cluster: unknown role %q (want router or worker)", f.Cluster.Role)
+		return fmt.Errorf("config: cluster: unknown role %q (want router or worker)", f.Cluster.Role)
 	}
 	if f.Cluster.VNodes < 0 {
-		return nil, fmt.Errorf("config: cluster: negative vnodes %d", f.Cluster.VNodes)
+		return fmt.Errorf("config: cluster: negative vnodes %d", f.Cluster.VNodes)
+	}
+	// One file may be shared by a cluster's router and workers, so nodes
+	// beside a worker role is fine; either key on a standalone process is
+	// a role the operator forgot to set.
+	if f.Cluster.Role == "" && (f.Cluster.Node != "" || len(f.Cluster.Nodes) > 0) {
+		return fmt.Errorf("config: cluster: node and nodes require a role")
 	}
 	if f.Cluster.Role == "router" {
 		if len(f.Cluster.Nodes) == 0 {
-			return nil, fmt.Errorf("config: cluster: router role needs nodes")
+			return fmt.Errorf("config: cluster: router role needs nodes")
 		}
 		seen := map[string]bool{}
 		for i, n := range f.Cluster.Nodes {
 			if n.Name == "" || n.Flow == "" || n.DNS == "" {
-				return nil, fmt.Errorf("config: cluster: nodes[%d]: name, flow, and dns are all required", i)
+				return fmt.Errorf("config: cluster: nodes[%d]: name, flow, and dns are all required", i)
 			}
 			if seen[n.Name] {
-				return nil, fmt.Errorf("config: cluster: duplicate node name %q", n.Name)
+				return fmt.Errorf("config: cluster: duplicate node name %q", n.Name)
 			}
 			seen[n.Name] = true
 		}
 	}
-	if _, err := f.CoreConfig(); err != nil {
-		return nil, err
+	if f.Correlator.IngestBatch < 0 {
+		return fmt.Errorf("config: negative ingest_batch %d", f.Correlator.IngestBatch)
 	}
-	return &f, nil
+	if f.Correlator.DNSIdleTimeoutSeconds < 0 {
+		return fmt.Errorf("config: negative dns_idle_timeout_seconds %d", f.Correlator.DNSIdleTimeoutSeconds)
+	}
+	_, err := f.CoreConfig()
+	return err
 }
 
 // AllOutputs returns the full sink list the daemon must construct: the
@@ -404,7 +424,8 @@ func (f *File) AllOutputs() []OutputConfig {
 	return append([]OutputConfig{f.Output}, f.Outputs...)
 }
 
-// CoreConfig converts the correlator section to a core.Config.
+// CoreConfig converts the correlator section to a core.Config, rejecting
+// values core cannot express.
 func (f *File) CoreConfig() (core.Config, error) {
 	cc := f.Correlator
 	variant := core.Variant(cc.Variant)
@@ -466,14 +487,6 @@ func (f *File) CoreConfig() (core.Config, error) {
 	if cc.WriteFlushMS > 0 {
 		cfg.WriteFlushInterval = time.Duration(cc.WriteFlushMS) * time.Millisecond
 	}
-	if cc.IngestBatch < 0 {
-		return core.Config{}, fmt.Errorf("config: negative ingest_batch %d", cc.IngestBatch)
-	}
-	cfg.IngestBatch = cc.IngestBatch
-	if cc.DNSIdleTimeoutSeconds < 0 {
-		return core.Config{}, fmt.Errorf("config: negative dns_idle_timeout_seconds %d", cc.DNSIdleTimeoutSeconds)
-	}
-	cfg.DNSIdleTimeout = time.Duration(cc.DNSIdleTimeoutSeconds) * time.Second
 	if cc.SnapshotEverySeconds < 0 {
 		return core.Config{}, fmt.Errorf("config: negative snapshot_every_seconds %d", cc.SnapshotEverySeconds)
 	}
@@ -497,12 +510,6 @@ func (f *File) CoreConfig() (core.Config, error) {
 	cfg.SampleLowWater = cc.SampleLowWater
 	cfg.SampleHighWater = cc.SampleHighWater
 	cfg.SampleMaxShed = cc.SampleMaxShed
-	cfg.QueryAddr = f.Query.Listen
-	cfg.StoreDir = f.Query.StoreDir
-	if f.Query.RetentionSeconds > 0 {
-		cfg.Retention = time.Duration(f.Query.RetentionSeconds) * time.Second
-	}
-	cfg.CompactAfter = time.Duration(f.Query.CompactAfterSeconds) * time.Second
 	return cfg, nil
 }
 

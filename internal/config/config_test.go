@@ -86,11 +86,34 @@ func TestParseErrors(t *testing.T) {
 		{`{"dns_streams":[{"listen":":1"}],"rollup":{"enabled":true},"query":{"store_dir":"w","part_seconds":-1}}`, "negative part_seconds"},
 		{`{"dns_streams":[{"listen":":1"}],"rollup":{"enabled":true},"query":{"store_dir":"w","retention_seconds":-1}}`, "negative retention_seconds"},
 		{`{"dns_streams":[{"listen":":1"}],"rollup":{"enabled":true},"query":{"store_dir":"w","cache_entries":-1}}`, "negative cache_entries"},
+		// Sign checks do not depend on the section being switched on.
+		{`{"dns_streams":[{"listen":":1"}],"query":{"retention_seconds":-1}}`, "negative retention_seconds"},
+		{`{"dns_streams":[{"listen":":1"}],"rollup":{"window_seconds":-1}}`, "negative window_seconds"},
+		{`{"dns_streams":[{"listen":":1"}],"cluster":{"role":"sidecar"}}`, "unknown role"},
+		{`{"dns_streams":[{"listen":":1"}],"cluster":{"role":"router"}}`, "router role needs nodes"},
+		{`{"dns_streams":[{"listen":":1"}],"cluster":{"node":"w1"}}`, "require a role"},
+		{`{"dns_streams":[{"listen":":1"}],"cluster":{"nodes":[{"name":"w1","flow":":2","dns":":3"}]}}`, "require a role"},
 	}
 	for _, c := range cases {
 		_, err := Parse([]byte(c.doc))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Parse(%q) err = %v, want containing %q", c.doc, err, c.want)
+		}
+	}
+}
+
+// One cluster file is shared by the router and every worker: a worker
+// carrying the router's node list is valid.
+func TestClusterFileSharedByRoles(t *testing.T) {
+	for _, role := range []string{"router", "worker"} {
+		doc := `{"dns_streams":[{"listen":":1"}],"cluster":{"role":"` + role + `","node":"w1",
+			"nodes":[{"name":"w1","flow":":2","dns":":3"},{"name":"w2","flow":":4","dns":":5"}]}}`
+		f, err := Parse([]byte(doc))
+		if err != nil {
+			t.Fatalf("role %s: %v", role, err)
+		}
+		if len(f.Cluster.Nodes) != 2 || f.Cluster.Node != "w1" {
+			t.Fatalf("role %s: cluster = %+v", role, f.Cluster)
 		}
 	}
 }
@@ -112,18 +135,12 @@ func TestQueryConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Query.Enabled() {
-		t.Fatal("query section not enabled")
-	}
-	cfg, err := f.CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.QueryAddr != ":8081" || cfg.StoreDir != "winstore" {
-		t.Fatalf("core mapping: addr %q dir %q", cfg.QueryAddr, cfg.StoreDir)
-	}
-	if cfg.Retention != 24*time.Hour || cfg.CompactAfter != 5*time.Minute {
-		t.Fatalf("core mapping: retention %v compact_after %v", cfg.Retention, cfg.CompactAfter)
+	// The daemon wires the store and query server from the query section
+	// itself; nothing is copied into core.Config.
+	want := QueryConfig{Listen: ":8081", StoreDir: "winstore", PartSeconds: 1800,
+		RetentionSeconds: 86400, CompactAfterSeconds: 300, CacheEntries: 64}
+	if f.Query != want {
+		t.Fatalf("query section = %+v, want %+v", f.Query, want)
 	}
 
 	// Store without server is valid (persist-only), and a negative
@@ -136,12 +153,8 @@ func TestQueryConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2, err := f2.CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg2.QueryAddr != "" || cfg2.StoreDir != "w" || cfg2.CompactAfter >= 0 {
-		t.Fatalf("persist-only mapping: %+v", cfg2)
+	if f2.Query.Listen != "" || f2.Query.StoreDir != "w" || f2.Query.CompactAfterSeconds >= 0 {
+		t.Fatalf("persist-only section: %+v", f2.Query)
 	}
 }
 
@@ -381,12 +394,8 @@ func TestResilienceConfig(t *testing.T) {
 	if got != want {
 		t.Fatalf("Core() = %+v, want %+v", got, want)
 	}
-	cfg, err := f.CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.DNSIdleTimeout != 45*time.Second {
-		t.Fatalf("DNSIdleTimeout = %v", cfg.DNSIdleTimeout)
+	if f.Correlator.DNSIdleTimeoutSeconds != 45 {
+		t.Fatalf("dns_idle_timeout_seconds = %d", f.Correlator.DNSIdleTimeoutSeconds)
 	}
 
 	// Rejections: malformed fault spec, empty point name, negative retry

@@ -137,7 +137,7 @@ func (c *Correlator) Restore(r io.Reader, now time.Time) (RestoreStats, error) {
 	st := RestoreStats{Created: sr.Created()}
 	nowNs := now.UnixNano()
 
-	workers := len(c.fillLanes)
+	workers := len(c.interners)
 	secCh := make(chan *snapshot.Section, workers)
 	var wg sync.WaitGroup
 	var applied, expired atomic.Int64
@@ -206,11 +206,11 @@ func (c *Correlator) applySection(sec *snapshot.Section, nowNs int64) (applied, 
 		if binKeys && len(key) == 16 {
 			k := [16]byte(key)
 			h := ipHash(&k)
-			in := c.fillLanes[c.fillLaneForHash(h)].in
+			in := c.interners[c.fillLaneForHash(h)]
 			st.insertRestored(sec.Gen, h, k[:], "", in.intern(string(value)), exp, true)
 		} else {
 			h := cmap.HashBytes(key)
-			in := c.fillLanes[c.fillLaneForHash(h)].in
+			in := c.interners[c.fillLaneForHash(h)]
 			st.insertRestored(sec.Gen, h, nil, in.intern(string(key)), in.intern(string(value)), exp, false)
 		}
 		applied++

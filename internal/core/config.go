@@ -194,41 +194,6 @@ type Config struct {
 	// defaults (100 ms / 5 s).
 	RestartBackoffMin time.Duration
 	RestartBackoffMax time.Duration
-
-	// Query-plane knobs. The correlator itself never reads these — the
-	// daemon wires the window store and query server from them (the serving
-	// plane depends on the rollup layer, which depends on this package) —
-	// but they live here so every frontend (flags, config file, embedding
-	// programs) shares one source of truth, like the fields above.
-
-	// IngestBatch is the number of datagrams a UDP flow source drains per
-	// batched socket read (the recvmmsg ring size): each batch costs one
-	// syscall and one lookup-queue lock regardless of how many packets it
-	// carries. 0 uses the stream default (32); 1 disables batching and
-	// forces the classic one-read-per-datagram loop, which is also the
-	// automatic fallback on platforms or connections without batch-read
-	// support. Like the query knobs below, the correlator itself never
-	// reads this — the daemon applies it to every UDP source it wires.
-	IngestBatch int
-
-	// DNSIdleTimeout bounds how long a DNS TCP stream may go silent before
-	// the collector closes it (counted in the source's Timeouts stat). 0
-	// disables the bound. The correlator itself never reads this — the
-	// daemon applies it to every DNS listener it wires.
-	DNSIdleTimeout time.Duration
-
-	// QueryAddr is the query-plane HTTP listen address (/query/*, /metrics,
-	// /rollups). Empty disables the server.
-	QueryAddr string
-	// StoreDir is the window store's partition directory. Empty disables
-	// on-disk persistence of sealed rollup windows.
-	StoreDir string
-	// Retention bounds how far back stored partitions are kept; 0 keeps
-	// everything.
-	Retention time.Duration
-	// CompactAfter is how long after a partition's interval ends before its
-	// windows are compacted; 0 uses the store default, negative disables.
-	CompactAfter time.Duration
 }
 
 // DefaultConfig returns the paper's Main configuration.

@@ -147,29 +147,24 @@ type Correlator struct {
 	ipName    *store // A/AAAA answer(IP) -> query name
 	nameCname *store // CNAME answer(canonical) -> query (alias)
 
-	// fillLanes are the sharded FillUp stage, mirroring the correlation
-	// lanes: each fill lane owns its own queue, its own workers, and its
-	// own name interner, and DNS records are partitioned onto fill lanes by
-	// the same ipHash of the A/AAAA answer address that places the entry in
-	// the store. With FillLanes == Lanes every fill lane therefore writes
-	// only its lane's slice of the store splits, so concurrent FillUp
-	// workers never contend on the same generation shards — the put-side
-	// twin of the lane-major lookup layout.
-	fillLanes []*fillLane
-	// lanes are the sharded LookUp stage: each lane owns its own lookup
-	// queue and its own workers, and flows are partitioned onto lanes by a
-	// hash of the destination IP (same dst IP → same lane). The store's
+	// fill is the sharded FillUp stage, mirroring the correlation lanes: DNS
+	// records are partitioned onto fill lanes by the same ipHash of the
+	// A/AAAA answer address that places the entry in the store. With
+	// FillLanes == Lanes every fill lane therefore writes only its lane's
+	// slice of the store splits, so concurrent FillUp workers never contend
+	// on the same generation shards — the put-side twin of the lane-major
+	// lookup layout. interners holds one name interner per fill lane.
+	fill      *stage[stream.DNSRecord]
+	interners []*interner
+	// look is the sharded LookUp stage: flows are partitioned onto lanes by
+	// a hash of the destination IP (same dst IP → same lane). The store's
 	// lane-major split layout aligns with this partition, so
 	// destination-keyed lookups from different lanes never touch the same
 	// generation shards.
-	lanes  []*corrLane
-	writeQ *queue.Queue[CorrelatedFlow]
+	look *stage[flowEntry]
+	// write is the single-lane Write stage feeding the sink.
+	write *stage[CorrelatedFlow]
 
-	// stagePool recycles the per-lane staging buffers OfferFlowBatch uses
-	// to partition a batch in one pass.
-	stagePool sync.Pool
-	// dnsStagePool does the same for OfferDNSBatch's fill-lane partition.
-	dnsStagePool sync.Pool
 	// fillBufPool recycles the item-assembly scratch the public
 	// IngestDNSBatch uses; lane workers hold a private buffer instead.
 	fillBufPool sync.Pool
@@ -222,54 +217,21 @@ func New(cfg Config, opts ...Option) *Correlator {
 			exactTTL:      cfg.ExactTTL,
 			sweepInterval: cfg.ExactTTLSweepInterval,
 		}),
-		fillLanes:  make([]*fillLane, cfg.FillLanes),
-		lanes:      make([]*corrLane, cfg.Lanes),
-		writeQ:     queue.New[CorrelatedFlow](cfg.WriteQueueCap),
+		interners:  make([]*interner, cfg.FillLanes),
 		sinkFailed: make(chan struct{}),
 		draining:   make(chan struct{}),
 	}
-	// sampler is shared by every stage queue: each lane queue measures its
-	// own fill against the same watermarks, so a single hot lane starts
-	// shedding without waiting for the whole stage to drown.
+	c.sup.backoffMin, c.sup.backoffMax = cfg.RestartBackoffMin, cfg.RestartBackoffMax
 	sampler := queue.SamplerConfig{
 		LowWater:  cfg.SampleLowWater,
 		HighWater: cfg.SampleHighWater,
 		MaxShed:   cfg.SampleMaxShed,
 	}
-	c.writeQ.SetSampler(sampler)
-	// FillQueueCap is the total fill buffer, divided evenly across fill
-	// lanes (same contract as LookQueueCap below).
-	perFillCap := cfg.FillQueueCap / cfg.FillLanes
-	if perFillCap < 1 {
-		perFillCap = 1
-	}
-	for i := range c.fillLanes {
-		c.fillLanes[i] = &fillLane{
-			q:  queue.New[stream.DNSRecord](perFillCap),
-			in: newInterner(defaultInternCap),
-		}
-		c.fillLanes[i].q.SetSampler(sampler)
-	}
-	// LookQueueCap is the total lookup buffer, divided evenly across
-	// lanes, so the stage's memory footprint and the configured loss
-	// bound do not scale with the lane count. The flip side: a burst to
-	// one hot destination only gets its lane's share — raise
-	// LookQueueCap (and watch LaneDepths) for skewed traffic.
-	perLaneCap := cfg.LookQueueCap / cfg.Lanes
-	if perLaneCap < 1 {
-		perLaneCap = 1
-	}
-	for i := range c.lanes {
-		c.lanes[i] = &corrLane{q: queue.New[flowEntry](perLaneCap)}
-		c.lanes[i].q.SetSampler(sampler)
-	}
-	laneCount := len(c.lanes)
-	c.stagePool.New = func() any {
-		return &laneStage{perLane: make([][]flowEntry, laneCount)}
-	}
-	fillLaneCount := len(c.fillLanes)
-	c.dnsStagePool.New = func() any {
-		return &dnsStage{perLane: make([][]stream.DNSRecord, fillLaneCount)}
+	c.fill = newStage[stream.DNSRecord](compFill, &c.sup, cfg.FillLanes, cfg.FillQueueCap, cfg.FillUpWorkers, sampler)
+	c.look = newStage[flowEntry](compLook, &c.sup, cfg.Lanes, cfg.LookQueueCap, cfg.LookUpWorkers, sampler)
+	c.write = newStage[CorrelatedFlow](compWrite, &c.sup, 1, cfg.WriteQueueCap, cfg.WriteWorkers, sampler)
+	for i := range c.interners {
+		c.interners[i] = newInterner(defaultInternCap)
 	}
 	c.fillBufPool.New = func() any { return new(fillBuf) }
 	for _, opt := range opts {
@@ -287,25 +249,6 @@ func New(cfg Config, opts ...Option) *Correlator {
 	return c
 }
 
-// corrLane is one correlation lane: an independent slice of the LookUp
-// stage with its own queue; its workers are launched by Run.
-type corrLane struct {
-	q *queue.Queue[flowEntry]
-}
-
-// fillLane is one fill lane: an independent slice of the FillUp stage with
-// its own queue and name interner; its workers are launched by Run.
-type fillLane struct {
-	q  *queue.Queue[stream.DNSRecord]
-	in *interner
-}
-
-// dnsStage is the reusable per-lane staging buffer OfferDNSBatch partitions
-// a DNS batch into.
-type dnsStage struct {
-	perLane [][]stream.DNSRecord
-}
-
 // fillBuf is the reusable scratch one IngestDNSBatch call assembles its
 // store items in: the 16-byte binary keys (backing storage the items alias)
 // and the Active/Long item groups handed to store.putItems.
@@ -314,12 +257,6 @@ type fillBuf struct {
 	active []cmap.Item
 	long   []cmap.Item
 	sc     dispatchScratch
-}
-
-// laneStage is the reusable per-lane staging buffer OfferFlowBatch
-// partitions a flow batch into.
-type laneStage struct {
-	perLane [][]flowEntry
 }
 
 // ipHash hashes the 16-byte canonical address form in two 64-bit loads
@@ -343,11 +280,11 @@ func ipHash(key *[16]byte) uint32 {
 // shared IP-key hash, exactly as the store's lane-major split layout uses
 // them.
 func (c *Correlator) laneFor(addr netip.Addr) int {
-	if len(c.lanes) == 1 {
+	if len(c.look.lanes) == 1 {
 		return 0
 	}
 	a16 := addr.As16()
-	return int(ipHash(&a16) % uint32(len(c.lanes)))
+	return int(ipHash(&a16) % uint32(len(c.look.lanes)))
 }
 
 // fillLaneFor returns the fill lane owning rec. A/AAAA records route by the
@@ -359,7 +296,7 @@ func (c *Correlator) laneFor(addr netip.Addr) int {
 // answers) route by the answer-string hash — any lane ingests them
 // correctly; only the contention alignment is lost.
 func (c *Correlator) fillLaneFor(rec *stream.DNSRecord) int {
-	if len(c.fillLanes) == 1 {
+	if len(c.fill.lanes) == 1 {
 		return 0
 	}
 	if rec.Addr.IsValid() {
@@ -371,7 +308,7 @@ func (c *Correlator) fillLaneFor(rec *stream.DNSRecord) int {
 
 // fillLaneForHash is fillLaneFor when the caller already has the key hash.
 func (c *Correlator) fillLaneForHash(h uint32) int {
-	return int(h % uint32(len(c.fillLanes)))
+	return int(h % uint32(len(c.fill.lanes)))
 }
 
 // typeAnswerAddr materializes the typed address of a string-only A/AAAA
@@ -392,10 +329,10 @@ func typeAnswerAddr(rec *stream.DNSRecord) {
 }
 
 // Lanes returns the number of correlation lanes in effect.
-func (c *Correlator) Lanes() int { return len(c.lanes) }
+func (c *Correlator) Lanes() int { return len(c.look.lanes) }
 
 // FillLanes returns the number of fill lanes in effect.
-func (c *Correlator) FillLanes() int { return len(c.fillLanes) }
+func (c *Correlator) FillLanes() int { return len(c.fill.lanes) }
 
 // Config returns the normalized configuration in effect.
 func (c *Correlator) Config() Config { return c.cfg }
@@ -408,36 +345,27 @@ func (c *Correlator) Config() Config { return c.cfg }
 // same lane.
 func (c *Correlator) OfferDNS(rec stream.DNSRecord) bool {
 	typeAnswerAddr(&rec)
-	return c.fillLanes[c.fillLaneFor(&rec)].q.Offer(rec)
+	return c.fill.lanes[c.fillLaneFor(&rec)].Offer(rec)
 }
 
-// OfferDNSBatch partitions a batch of DNS records onto their fill lanes —
-// one pass through reusable staging buffers, as OfferFlowBatch does for
-// flows — and returns how many were accepted.
+// OfferDNSBatch partitions a batch of DNS records onto their fill lanes in
+// one pass, as OfferFlowBatch does for flows, and returns how many were
+// accepted.
 func (c *Correlator) OfferDNSBatch(recs []stream.DNSRecord) int {
 	if len(recs) == 0 {
 		return 0
 	}
-	if len(c.fillLanes) == 1 {
-		return c.fillLanes[0].q.OfferBatch(recs)
+	if len(c.fill.lanes) == 1 {
+		return c.fill.lanes[0].OfferBatch(recs)
 	}
-	st := c.dnsStagePool.Get().(*dnsStage)
+	p := c.fill.partition()
 	for i := range recs {
 		r := recs[i]
 		typeAnswerAddr(&r)
 		l := c.fillLaneFor(&r)
-		st.perLane[l] = append(st.perLane[l], r)
+		p.lane[l] = append(p.lane[l], r)
 	}
-	accepted := 0
-	for l := range st.perLane {
-		if len(st.perLane[l]) == 0 {
-			continue
-		}
-		accepted += c.fillLanes[l].q.OfferBatch(st.perLane[l])
-		st.perLane[l] = st.perLane[l][:0]
-	}
-	c.dnsStagePool.Put(st)
-	return accepted
+	return c.fill.offer(p)
 }
 
 // OfferFlow places a flow on its correlation lane's LookUp queue, stamping
@@ -445,33 +373,23 @@ func (c *Correlator) OfferDNSBatch(recs []stream.DNSRecord) int {
 // The lane is chosen by a hash of the destination IP, so flows to the same
 // destination always land on the same lane.
 func (c *Correlator) OfferFlow(fr netflow.FlowRecord) bool {
-	return c.lanes[c.laneFor(fr.DstIP)].q.Offer(flowEntry{fr: fr, at: time.Now()})
+	return c.look.lanes[c.laneFor(fr.DstIP)].Offer(flowEntry{fr: fr, at: time.Now()})
 }
 
 // OfferFlowBatch partitions a batch of flows onto their correlation lanes —
 // one arrival stamp for the whole batch — and returns how many were
-// accepted. Partitioning is one pass through reusable staging buffers, so
-// the offer cost stays amortized per batch, not per record.
+// accepted.
 func (c *Correlator) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	if len(frs) == 0 {
 		return 0
 	}
 	now := time.Now()
-	st := c.stagePool.Get().(*laneStage)
+	p := c.look.partition()
 	for i := range frs {
 		l := c.laneFor(frs[i].DstIP)
-		st.perLane[l] = append(st.perLane[l], flowEntry{fr: frs[i], at: now})
+		p.lane[l] = append(p.lane[l], flowEntry{fr: frs[i], at: now})
 	}
-	accepted := 0
-	for l := range st.perLane {
-		if len(st.perLane[l]) == 0 {
-			continue
-		}
-		accepted += c.lanes[l].q.OfferBatch(st.perLane[l])
-		st.perLane[l] = st.perLane[l][:0]
-	}
-	c.stagePool.Put(st)
-	return accepted
+	return c.look.offer(p)
 }
 
 var _ stream.Ingest = (*Correlator)(nil)
@@ -481,25 +399,13 @@ var _ stream.Ingest = (*Correlator)(nil)
 // look depth aggregates every correlation lane; LaneDepths has the
 // per-lane breakdown.
 func (c *Correlator) QueueDepths() (fill, look, write int) {
-	for _, l := range c.fillLanes {
-		fill += l.q.Len()
-	}
-	for _, l := range c.lanes {
-		look += l.q.Len()
-	}
-	return fill, look, c.writeQ.Len()
+	return c.fill.depth(), c.look.depth(), c.write.depth()
 }
 
 // LaneDepths reports each correlation lane's lookup-queue occupancy — the
 // skew monitor for the dst-IP partition (a hot destination shows up as one
 // deep lane).
-func (c *Correlator) LaneDepths() []int {
-	out := make([]int, len(c.lanes))
-	for i, l := range c.lanes {
-		out[i] = l.q.Len()
-	}
-	return out
-}
+func (c *Correlator) LaneDepths() []int { return c.look.depths() }
 
 // FillLaneFor reports which fill lane rec routes to — the partition
 // inspector behind FillLaneDepths skew debugging (and the repo benchmarks'
@@ -508,13 +414,7 @@ func (c *Correlator) FillLaneFor(rec *stream.DNSRecord) int { return c.fillLaneF
 
 // FillLaneDepths reports each fill lane's queue occupancy — the skew
 // monitor for the answer-address partition.
-func (c *Correlator) FillLaneDepths() []int {
-	out := make([]int, len(c.fillLanes))
-	for i, l := range c.fillLanes {
-		out[i] = l.q.Len()
-	}
-	return out
-}
+func (c *Correlator) FillLaneDepths() []int { return c.fill.depths() }
 
 // Run executes the pipeline: it launches the FillUp, LookUp, and Write
 // workers plus every attached source, then blocks until one of
@@ -535,151 +435,14 @@ func (c *Correlator) Run(ctx context.Context) error {
 		return ErrAlreadyRunning
 	}
 
-	var wgFill, wgLook, wgWrite sync.WaitGroup
-	// FillUp workers are divided evenly across fill lanes (at least one per
-	// lane), exactly as LookUp workers are across correlation lanes: a
-	// worker drains only its own lane's queue and ingests whole batches, so
-	// the clear-up check, the stats updates, and the shard-lock traffic all
-	// amortize per batch instead of per record.
-	baseFill := c.cfg.FillUpWorkers / len(c.fillLanes)
-	extraFill := c.cfg.FillUpWorkers % len(c.fillLanes)
-	if baseFill < 1 {
-		baseFill, extraFill = 1, 0
-	}
-	for li, lane := range c.fillLanes {
-		workersPerLane := baseFill
-		if li < extraFill {
-			workersPerLane++
-		}
-		for i := 0; i < workersPerLane; i++ {
-			wgFill.Add(1)
-			go func(lane *fillLane) {
-				defer wgFill.Done()
-				h := c.sup.comp(compFill)
-				batch := make([]stream.DNSRecord, 0, ingestBatchSize)
-				var buf fillBuf // worker-private assembly scratch
-				c.superviseLoop(h, func() {
-					for {
-						var ok bool
-						batch, ok = lane.q.TakeBatch(batch[:0], ingestBatchSize, 0)
-						if !ok {
-							return
-						}
-						c.ingestGuarded(h, batch, lane.in, &buf)
-					}
-				})
-			}(lane)
-		}
-	}
-	// LookUp workers are divided evenly across lanes (at least one per
-	// lane): a worker drains only its own lane's queue, so two workers
-	// never contend on one queue unless the operator asked for more
-	// workers than lanes. The handoff to the Write stage uses blocking
-	// PutBatch, not the dropping OfferBatch: a flow accepted into a lane
-	// is already part of the pipeline and must reach the sink — loss is
-	// accounted only at intake. This also makes the drain lossless: a full
-	// lane queue at cancellation backpressures into the Write workers
-	// instead of overflowing the write queue.
-	baseWorkers := c.cfg.LookUpWorkers / len(c.lanes)
-	extraWorkers := c.cfg.LookUpWorkers % len(c.lanes)
-	if baseWorkers < 1 {
-		// Fewer workers than lanes: every lane still needs one (a lane
-		// without a worker would never drain), so the effective total is
-		// the lane count.
-		baseWorkers, extraWorkers = 1, 0
-	}
-	for li, lane := range c.lanes {
-		workersPerLane := baseWorkers
-		if li < extraWorkers {
-			workersPerLane++ // distribute the remainder; the configured total is honored
-		}
-		for i := 0; i < workersPerLane; i++ {
-			wgLook.Add(1)
-			go func(lane *corrLane) {
-				defer wgLook.Done()
-				h := c.sup.comp(compLook)
-				batch := make([]flowEntry, 0, ingestBatchSize)
-				out := make([]CorrelatedFlow, 0, ingestBatchSize)
-				var tally lookTally
-				c.superviseLoop(h, func() {
-					for {
-						var ok bool
-						batch, ok = lane.q.TakeBatch(batch[:0], ingestBatchSize, 0)
-						if !ok {
-							return
-						}
-						out = out[:0]
-						var poisoned uint64
-						for i := range batch {
-							out = append(out, CorrelatedFlow{})
-							cf := &out[len(out)-1]
-							// A record whose correlation panics drops that one
-							// output slot — not the batch, not the worker.
-							if !c.correlateGuarded(h, cf, &batch[i].fr, &tally) {
-								out = out[:len(out)-1]
-								poisoned++
-								continue
-							}
-							cf.EnqueuedAt = batch[i].at
-						}
-						tally.flush(&c.stats)
-						if poisoned != 0 {
-							c.stats.poisoned.Add(poisoned)
-						}
-						c.writeQ.PutBatch(out)
-					}
-				})
-			}(lane)
-		}
-	}
+	c.fill.start(ingestBatchSize, 0, c.fillWorker)
+	c.look.start(ingestBatchSize, 0, c.lookWorker)
 	// The drain must finish even after ctx is cancelled: in-flight records
 	// belong to the sink, so sink writes run under an uncancellable child.
 	writeCtx := context.WithoutCancel(ctx)
-	for i := 0; i < c.cfg.WriteWorkers; i++ {
-		wgWrite.Add(1)
-		go func() {
-			defer wgWrite.Done()
-			h := c.sup.comp(compWrite)
-			batch := make([]CorrelatedFlow, 0, c.cfg.WriteBatchSize)
-			c.superviseLoop(h, func() {
-				for {
-					var ok bool
-					batch, ok = c.writeQ.TakeBatch(batch[:0], c.cfg.WriteBatchSize, c.cfg.WriteFlushInterval)
-					if !ok {
-						return
-					}
-					now := time.Now()
-					for i := range batch {
-						if !batch[i].EnqueuedAt.IsZero() {
-							c.observeWriteDelay(now.Sub(batch[i].EnqueuedAt))
-						}
-					}
-					if c.sinkErr.Load() != nil {
-						continue // sink already failed: drain without writing
-					}
-					// A panicking sink is contained and handled like a sink
-					// error: the run shuts down cleanly instead of crashing.
-					if err := guardErr(h, func() error { return c.sink.WriteBatch(writeCtx, batch) }); err != nil {
-						c.failSink(err)
-						continue
-					}
-					c.stats.written.Add(uint64(len(batch)))
-					// Push buffered sink output down to the writer whenever the
-					// flush-interval timer fired (partial batch) or no more
-					// records are imminent (queue drained) — so
-					// WriteFlushInterval bounds end-to-end latency even when a
-					// burst ends on an exactly-full batch or WriteBatchSize is
-					// 1. Under sustained load batches are full and the queue
-					// non-empty, so the buffer amortizes naturally.
-					if len(batch) < c.cfg.WriteBatchSize || c.writeQ.Len() == 0 {
-						if err := guardErr(h, c.sink.Flush); err != nil {
-							c.failSink(err)
-						}
-					}
-				}
-			})
-		}()
-	}
+	c.write.start(c.cfg.WriteBatchSize, c.cfg.WriteFlushInterval, func(_ int, h *compHealth) func([]CorrelatedFlow) {
+		return func(batch []CorrelatedFlow) { c.writeBatch(writeCtx, h, batch) }
+	})
 
 	// Sources run under their own cancellable context so that sink
 	// failure, source failure, and source completion can stop intake
@@ -692,7 +455,7 @@ func (c *Correlator) Run(ctx context.Context) error {
 	srcErrs := make([]error, len(c.sources))
 	for i, src := range c.sources {
 		wgSrc.Add(1)
-		go func(i int, src stream.Source) {
+		go func() {
 			defer wgSrc.Done()
 			if err := src.Run(srcCtx, c); err != nil {
 				srcErrs[i] = err
@@ -700,7 +463,7 @@ func (c *Correlator) Run(ctx context.Context) error {
 				// the pipeline running blind until process exit.
 				srcFailedOnce.Do(func() { close(srcFailed) })
 			}
-		}(i, src)
+		}()
 	}
 	var sourcesDone chan struct{}
 	if len(c.sources) > 0 {
@@ -714,31 +477,15 @@ func (c *Correlator) Run(ctx context.Context) error {
 	// The background checkpointer owns the periodic snapshot writes for the
 	// whole run; the final checkpoint after the drain happens on this
 	// goroutine's exit path below, so two Checkpoint calls never overlap.
-	var wgCkpt sync.WaitGroup
-	ckptStop := make(chan struct{})
+	stopCheckpointer := func() {}
 	if c.cfg.SnapshotPath != "" {
-		wgCkpt.Add(1)
-		go func() {
-			defer wgCkpt.Done()
-			h := c.sup.comp(compCheckpoint)
-			ticker := time.NewTicker(c.cfg.SnapshotEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					// A panic inside the checkpoint write path (injected or
-					// real) is contained and counted as a failed checkpoint;
-					// the previous on-disk generation stays good either way.
-					if err := guardErr(h, func() error { return c.Checkpoint(c.cfg.SnapshotPath) }); err != nil {
-						c.stats.checkpointErrors.Add(1)
-					} else {
-						c.stats.checkpoints.Add(1)
-					}
-				case <-ckptStop:
-					return
-				}
-			}
-		}()
+		h := c.sup.comp(compCheckpoint)
+		stopCheckpointer = every(c.cfg.SnapshotEvery, func() {
+			// A panic inside the checkpoint write path (injected or real) is
+			// contained and counted as a failed checkpoint; the previous
+			// on-disk generation stays good either way.
+			c.countCheckpoint(guardErr(h, func() error { return c.Checkpoint(c.cfg.SnapshotPath) }))
+		})
 	}
 
 	// Services outlive the drain: the query plane keeps answering (and the
@@ -752,59 +499,15 @@ func (c *Correlator) Run(ctx context.Context) error {
 	svcErrs := make([]error, len(c.services))
 	for i, svc := range c.services {
 		wgSvc.Add(1)
-		go func(i int, svc Service) {
+		go func() {
 			defer wgSvc.Done()
-			// Supervised serve loop: a service that panics or returns while
-			// the run is still live is restarted with exponential backoff
-			// instead of leaving the pipeline without its query plane or
-			// store maintenance. The last abnormal error is still joined
-			// into Run's result so a flapping service is never silent.
-			h := c.sup.comp("service:" + svc.Name())
-			backoff := c.cfg.RestartBackoffMin
-			var lastErr error
-			for {
-				if err := guardErr(h, func() error { return svc.Serve(svcCtx) }); err != nil {
-					lastErr = err
-				}
-				if svcCtx.Err() != nil {
-					break
-				}
-				h.restarts.Add(1)
-				select {
-				case <-svcCtx.Done():
-				case <-time.After(backoff):
-				}
-				if svcCtx.Err() != nil {
-					break
-				}
-				backoff *= 2
-				if backoff > c.cfg.RestartBackoffMax {
-					backoff = c.cfg.RestartBackoffMax
-				}
-			}
-			if lastErr != nil {
-				svcErrs[i] = fmt.Errorf("core: service %s: %w", svc.Name(), lastErr)
-			}
-		}(i, svc)
+			svcErrs[i] = c.sup.serve(svcCtx, svc)
+		}()
 	}
 
-	var wgMetrics sync.WaitGroup
-	metricsStop := make(chan struct{})
+	stopMetrics := func() {}
 	if c.observe != nil {
-		wgMetrics.Add(1)
-		go func() {
-			defer wgMetrics.Done()
-			ticker := time.NewTicker(c.metricsInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					c.observe(c.Stats())
-				case <-metricsStop:
-					return
-				}
-			}
-		}()
+		stopMetrics = every(c.metricsInterval, func() { c.observe(c.Stats()) })
 	}
 
 	select {
@@ -816,38 +519,28 @@ func (c *Correlator) Run(ctx context.Context) error {
 	close(c.draining)
 
 	// Graceful drain: stop intake, then close and drain stage by stage.
-	// Every lane queue closes before the write queue does, and the
+	// The intake stages empty before the write stage closes, and the
 	// LookUp→Write handoff blocks rather than drops, so every flow
 	// accepted into any lane reaches the sink exactly once.
 	stopSources()
 	wgSrc.Wait()
-	for _, lane := range c.fillLanes {
-		lane.q.Close()
-	}
-	for _, lane := range c.lanes {
-		lane.q.Close()
-	}
-	wgFill.Wait()
-	wgLook.Wait()
-	c.writeQ.Close()
-	wgWrite.Wait()
-	close(metricsStop)
-	wgMetrics.Wait()
-	close(ckptStop)
-	wgCkpt.Wait()
+	c.fill.drain()
+	c.look.drain()
+	c.write.drain()
+	stopMetrics()
+	stopCheckpointer()
 
-	errs := make([]error, 0, len(srcErrs)+4)
+	errs := make([]error, 0, len(srcErrs)+len(svcErrs)+4)
 	errs = append(errs, srcErrs...)
 	// Final checkpoint: the drain is complete and every worker has stopped,
 	// so this snapshot captures the exact state the next boot should resume
 	// from. Its failure is a real operational error, reported to the caller
 	// rather than just counted.
 	if c.cfg.SnapshotPath != "" {
-		if err := c.Checkpoint(c.cfg.SnapshotPath); err != nil {
-			c.stats.checkpointErrors.Add(1)
+		err := c.Checkpoint(c.cfg.SnapshotPath)
+		c.countCheckpoint(err)
+		if err != nil {
 			errs = append(errs, fmt.Errorf("core: final checkpoint: %w", err))
-		} else {
-			c.stats.checkpoints.Add(1)
 		}
 	}
 	if perr := c.sinkErr.Load(); perr != nil {
@@ -863,6 +556,114 @@ func (c *Correlator) Run(ctx context.Context) error {
 		c.observe(c.Stats())
 	}
 	return errors.Join(errs...)
+}
+
+// every calls fn once per interval on its own goroutine until the returned
+// stop is called; stop returns once that goroutine has exited, so fn never
+// runs concurrently with whatever follows stop.
+func every(interval time.Duration, fn func()) (stop func()) {
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ticker.C:
+				fn()
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		<-exited
+	}
+}
+
+// countCheckpoint tallies one checkpoint attempt.
+func (c *Correlator) countCheckpoint(err error) {
+	if err != nil {
+		c.stats.checkpointErrors.Add(1)
+	} else {
+		c.stats.checkpoints.Add(1)
+	}
+}
+
+// fillWorker is the FillUp stage's batch body: a worker ingests whole
+// batches through its lane's interner and a private assembly scratch, so
+// the clear-up check, the stats updates, and the shard-lock traffic all
+// amortize per batch instead of per record.
+func (c *Correlator) fillWorker(lane int, h *compHealth) func([]stream.DNSRecord) {
+	in, buf := c.interners[lane], new(fillBuf)
+	return func(batch []stream.DNSRecord) { c.ingestGuarded(h, batch, in, buf) }
+}
+
+// lookWorker is the LookUp stage's batch body: correlate every flow, then
+// hand the results to the Write stage with blocking PutBatch, not the
+// dropping OfferBatch — a flow accepted into a lane is already part of the
+// pipeline and must reach the sink; loss is accounted only at intake. This
+// also makes the drain lossless: a full lane queue at cancellation
+// backpressures into the Write workers instead of overflowing the write
+// queue.
+func (c *Correlator) lookWorker(_ int, h *compHealth) func([]flowEntry) {
+	out := make([]CorrelatedFlow, 0, ingestBatchSize)
+	var tally lookTally
+	return func(batch []flowEntry) {
+		out = out[:0]
+		var poisoned uint64
+		for i := range batch {
+			out = append(out, CorrelatedFlow{})
+			cf := &out[len(out)-1]
+			// A record whose correlation panics drops that one output slot —
+			// not the batch, not the worker.
+			if !c.correlateGuarded(h, cf, &batch[i].fr, &tally) {
+				out = out[:len(out)-1]
+				poisoned++
+				continue
+			}
+			cf.EnqueuedAt = batch[i].at
+		}
+		tally.flush(&c.stats)
+		if poisoned != 0 {
+			c.stats.poisoned.Add(poisoned)
+		}
+		c.write.lanes[0].PutBatch(out)
+	}
+}
+
+// writeBatch is the Write stage's batch body: record the write delay, hand
+// the batch to the sink under ctx, and apply the flush policy.
+func (c *Correlator) writeBatch(ctx context.Context, h *compHealth, batch []CorrelatedFlow) {
+	now := time.Now()
+	for i := range batch {
+		if !batch[i].EnqueuedAt.IsZero() {
+			c.observeWriteDelay(now.Sub(batch[i].EnqueuedAt))
+		}
+	}
+	if c.sinkErr.Load() != nil {
+		return // sink already failed: drain without writing
+	}
+	// A panicking sink is contained and handled like a sink error: the run
+	// shuts down cleanly instead of crashing.
+	if err := guardErr(h, func() error { return c.sink.WriteBatch(ctx, batch) }); err != nil {
+		c.failSink(err)
+		return
+	}
+	c.stats.written.Add(uint64(len(batch)))
+	// Push buffered sink output down to the writer whenever the
+	// flush-interval timer fired (partial batch) or no more records are
+	// imminent (queue drained) — so WriteFlushInterval bounds end-to-end
+	// latency even when a burst ends on an exactly-full batch or
+	// WriteBatchSize is 1. Under sustained load batches are full and the
+	// queue non-empty, so the buffer amortizes naturally.
+	if len(batch) < c.cfg.WriteBatchSize || c.write.depth() == 0 {
+		if err := guardErr(h, c.sink.Flush); err != nil {
+			c.failSink(err)
+		}
+	}
 }
 
 // Draining reports whether Run has begun its graceful drain — the flag the
@@ -916,11 +717,11 @@ func (c *Correlator) IngestDNS(rec stream.DNSRecord) {
 		h := ipHash(&key)
 		// One hash serves lane/interner selection, split labeling, and
 		// shard selection.
-		in := c.fillLanes[c.fillLaneForHash(h)].in
+		in := c.interners[c.fillLaneForHash(h)]
 		value := in.intern(dnsname.Normalize(rec.Query))
 		c.ipName.putBytesHash(rec.Timestamp, rec.TTL, h, key[:], value)
 	case dnswire.TypeCNAME:
-		in := c.fillLanes[c.fillLaneForHash(cmap.Hash(rec.Answer))].in
+		in := c.interners[c.fillLaneForHash(cmap.Hash(rec.Answer))]
 		value := in.intern(dnsname.Normalize(rec.Query))
 		c.nameCname.put(rec.Timestamp, rec.TTL, in.intern(dnsname.Normalize(rec.Answer)), value)
 	}
@@ -944,7 +745,7 @@ func (c *Correlator) IngestDNSBatch(recs []stream.DNSRecord) {
 		return
 	}
 	buf := c.fillBufPool.Get().(*fillBuf)
-	c.ingestBatch(recs, c.fillLanes[c.fillLaneFor(&recs[0])].in, buf)
+	c.ingestBatch(recs, c.interners[c.fillLaneFor(&recs[0])], buf)
 	c.fillBufPool.Put(buf)
 }
 

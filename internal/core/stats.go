@@ -238,23 +238,11 @@ func (c *Correlator) Stats() Stats {
 		CheckpointErrors:   c.stats.checkpointErrors.Load(),
 		RestoredEntries:    uint64(c.restoreStats.Entries),
 		RestoredExpired:    uint64(c.restoreStats.Expired),
-		WriteQueue:         c.writeQ.Stats(),
-		Lanes:              len(c.lanes),
-		FillLanes:          len(c.fillLanes),
-	}
-	for _, l := range c.fillLanes {
-		fs := l.q.Stats()
-		st.FillQueue.Enqueued += fs.Enqueued
-		st.FillQueue.Dropped += fs.Dropped
-		st.FillQueue.Sampled += fs.Sampled
-		st.FillQueue.Dequeued += fs.Dequeued
-	}
-	for _, l := range c.lanes {
-		ls := l.q.Stats()
-		st.LookQueue.Enqueued += ls.Enqueued
-		st.LookQueue.Dropped += ls.Dropped
-		st.LookQueue.Sampled += ls.Sampled
-		st.LookQueue.Dequeued += ls.Dequeued
+		FillQueue:          c.fill.stats(),
+		LookQueue:          c.look.stats(),
+		WriteQueue:         c.write.stats(),
+		Lanes:              len(c.look.lanes),
+		FillLanes:          len(c.fill.lanes),
 	}
 	for i := range st.ChainHist {
 		st.ChainHist[i] = c.stats.chain[i].Load()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -37,10 +38,12 @@ type compHealth struct {
 	restarts atomic.Uint64
 }
 
-// supervisor tracks panic/restart counters per supervised component. A
-// component registers lazily on first touch; Run pre-registers the stage
-// workers and every service so the metrics families exist from the start.
+// supervisor tracks panic/restart counters per supervised component and
+// holds the restart backoff bounds (Config.RestartBackoffMin/Max). A
+// component registers on first touch.
 type supervisor struct {
+	backoffMin, backoffMax time.Duration
+
 	mu    sync.Mutex
 	comps map[string]*compHealth
 }
@@ -111,22 +114,51 @@ func guardErr(h *compHealth, fn func() error) (err error) {
 	return fn()
 }
 
+// nextBackoff doubles d up to the supervisor's ceiling.
+func (s *supervisor) nextBackoff(d time.Duration) time.Duration {
+	if d *= 2; d > s.backoffMax {
+		d = s.backoffMax
+	}
+	return d
+}
+
 // superviseLoop runs body until it returns normally, restarting it with
 // exponential backoff after each contained panic. Worker bodies return
 // normally when their stage queue closes, so a healthy drain always ends
 // the loop; the backoff only engages on the abnormal path.
-func (c *Correlator) superviseLoop(h *compHealth, body func()) {
-	backoff := c.cfg.RestartBackoffMin
-	for {
-		if guard(h, body) {
-			return
-		}
+func (s *supervisor) superviseLoop(h *compHealth, body func()) {
+	backoff := s.backoffMin
+	for !guard(h, body) {
 		h.restarts.Add(1)
 		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > c.cfg.RestartBackoffMax {
-			backoff = c.cfg.RestartBackoffMax
+		backoff = s.nextBackoff(backoff)
+	}
+}
+
+// serve is the supervised Service loop: a Serve that panics or returns
+// while ctx is still live is restarted with exponential backoff instead of
+// leaving the pipeline without its query plane or store maintenance. The
+// last abnormal error is returned so a flapping service is never silent.
+func (s *supervisor) serve(ctx context.Context, svc Service) error {
+	h := s.comp("service:" + svc.Name())
+	backoff := s.backoffMin
+	var lastErr error
+	for {
+		if err := guardErr(h, func() error { return svc.Serve(ctx) }); err != nil {
+			lastErr = fmt.Errorf("core: service %s: %w", svc.Name(), err)
 		}
+		if ctx.Err() != nil {
+			return lastErr
+		}
+		h.restarts.Add(1)
+		select {
+		case <-ctx.Done():
+		case <-time.After(backoff):
+		}
+		if ctx.Err() != nil {
+			return lastErr
+		}
+		backoff = s.nextBackoff(backoff)
 	}
 }
 

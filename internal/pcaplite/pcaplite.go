@@ -114,7 +114,7 @@ func (t *Trace) DNSRecords() ([]stream.DNSRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pcaplite: packet %d: %w", i, err)
 		}
-		out = append(out, stream.FlattenResponse(msg, p.Timestamp)...)
+		out = stream.FlattenResponseInto(out, msg, p.Timestamp)
 	}
 	return out, nil
 }

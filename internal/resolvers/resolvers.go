@@ -9,7 +9,10 @@
 // substrate: the well-known anycast resolvers plus room for additions.
 package resolvers
 
-import "net/netip"
+import (
+	"net/netip"
+	"slices"
+)
 
 // wellKnown are the anycast public resolvers the paper names (Cloudflare,
 // Google Public DNS, Quad9) plus other major public services.
@@ -67,11 +70,14 @@ func (s *Set) Contains(a netip.Addr) bool {
 // Len returns the set size.
 func (s *Set) Len() int { return len(s.m) }
 
-// Addrs returns the members in unspecified order.
+// Addrs returns the members in ascending address order — a fixed order, so
+// seeded consumers (the workload generator indexes into it) reproduce
+// across processes.
 func (s *Set) Addrs() []netip.Addr {
 	out := make([]netip.Addr, 0, len(s.m))
 	for a := range s.m {
 		out = append(out, a)
 	}
+	slices.SortFunc(out, netip.Addr.Compare)
 	return out
 }

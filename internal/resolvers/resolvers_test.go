@@ -103,6 +103,17 @@ func TestEmptySetAndAdd(t *testing.T) {
 	}
 }
 
+// The well-known set is large enough that map order would almost never
+// come out sorted by chance; seeded consumers depend on the fixed order.
+func TestAddrsOrdered(t *testing.T) {
+	addrs := NewSet().Addrs()
+	for i := 1; i < len(addrs); i++ {
+		if !addrs[i-1].Less(addrs[i]) {
+			t.Fatalf("Addrs()[%d]=%v not before [%d]=%v", i-1, addrs[i-1], i, addrs[i])
+		}
+	}
+}
+
 func TestAddrsRoundTrip(t *testing.T) {
 	s := EmptySet()
 	want := map[netip.Addr]bool{
@@ -117,7 +128,10 @@ func TestAddrsRoundTrip(t *testing.T) {
 	if len(addrs) != len(want) {
 		t.Fatalf("Addrs len = %d, want %d", len(addrs), len(want))
 	}
-	for _, a := range addrs {
+	for i, a := range addrs {
+		if i > 0 && !addrs[i-1].Less(a) {
+			t.Errorf("Addrs not in ascending order: %v before %v", addrs[i-1], a)
+		}
 		if !want[a] {
 			t.Errorf("unexpected member %v", a)
 		}

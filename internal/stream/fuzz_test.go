@@ -9,10 +9,10 @@ import (
 	"repro/internal/dnswire"
 )
 
-// FuzzFlattenResponseInto asserts the append-into flatten path is exactly
-// FlattenResponse under buffer reuse: for any decodable message, flattening
-// into a freshly poisoned reused buffer yields the same records as a fresh
-// flatten, twice in a row (the TCP source reuses one buffer per frame), and
+// FuzzFlattenResponseInto asserts flattening is unaffected by buffer
+// reuse: for any decodable message, flattening into a freshly poisoned
+// reused buffer yields the same records as flattening into nil, twice in a
+// row (the TCP source reuses one buffer per frame), and
 // every produced record passes the §3.2 filter invariants — A/AAAA records
 // carry a valid typed address matching their type, CNAME records a
 // non-empty target.
@@ -61,7 +61,7 @@ func FuzzFlattenResponseInto(f *testing.F) {
 		if err != nil {
 			return
 		}
-		fresh := FlattenResponse(m, ts)
+		fresh := FlattenResponseInto(nil, m, ts)
 
 		// Reused buffer, poisoned: stale records from a previous frame must
 		// never leak through or corrupt the new flatten.

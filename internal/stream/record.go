@@ -79,10 +79,10 @@ func (r *DNSRecord) AnswerString() string {
 	return ""
 }
 
-// FlattenResponse converts a decoded DNS response message into the
-// DNSRecords FlowDNS stores. Non-response messages and non-NOERROR rcodes
-// yield nothing; answer records of types other than A/AAAA/CNAME are
-// skipped. ts is the stream-assigned receive timestamp.
+// FlattenResponseInto converts a decoded DNS response message into the
+// DNSRecords FlowDNS stores, appending them to dst. Non-response messages
+// and non-NOERROR rcodes yield nothing; answer records of types other than
+// A/AAAA/CNAME are skipped. ts is the stream-assigned receive timestamp.
 //
 // A/AAAA answers stay typed: the record carries the decoder's netip.Addr
 // untouched, with no Addr.String() round-trip (the fill path consumes the
@@ -91,19 +91,12 @@ func (r *DNSRecord) AnswerString() string {
 // name. FlowDNS's NAME-CNAME map is keyed by answer (canonical name) with
 // the query (alias) as value, so lookups can walk CDN names back toward
 // the service name.
-func FlattenResponse(m *dnswire.Message, ts time.Time) []DNSRecord {
-	recs := FlattenResponseInto(nil, m, ts)
-	if len(recs) == 0 {
-		return nil
-	}
-	return recs
-}
-
-// FlattenResponseInto is FlattenResponse appending into dst, so a source
-// draining one connection can reuse a single record buffer for every frame
-// (pass dst[:0]). The appended records do not alias m or dst's previous
-// contents beyond the reused backing array; they are safe to hand to
-// Ingest.OfferDNSBatch, which copies records into the stage queue.
+//
+// A source draining one connection reuses a single record buffer for every
+// frame (pass dst[:0]); one-shot callers pass nil. The appended records do
+// not alias m or dst's previous contents beyond the reused backing array;
+// they are safe to hand to Ingest.OfferDNSBatch, which copies records into
+// the stage queue.
 func FlattenResponseInto(dst []DNSRecord, m *dnswire.Message, ts time.Time) []DNSRecord {
 	if m == nil || !m.Header.Response || m.Header.RCode != dnswire.RCodeNoError {
 		return dst

@@ -53,7 +53,7 @@ func responseAB(t *testing.T) *dnswire.Message {
 }
 
 func TestFlattenResponse(t *testing.T) {
-	recs := FlattenResponse(responseAB(t), testTime())
+	recs := FlattenResponseInto(nil, responseAB(t), testTime())
 	if len(recs) != 2 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -79,15 +79,15 @@ func TestFlattenResponse(t *testing.T) {
 func TestFlattenSkipsNonResponses(t *testing.T) {
 	m := responseAB(t)
 	m.Header.Response = false
-	if got := FlattenResponse(m, testTime()); got != nil {
+	if got := FlattenResponseInto(nil, m, testTime()); got != nil {
 		t.Fatalf("query flattened: %v", got)
 	}
 	m.Header.Response = true
 	m.Header.RCode = dnswire.RCodeNXDomain
-	if got := FlattenResponse(m, testTime()); got != nil {
+	if got := FlattenResponseInto(nil, m, testTime()); got != nil {
 		t.Fatalf("NXDOMAIN flattened: %v", got)
 	}
-	if FlattenResponse(nil, testTime()) != nil {
+	if FlattenResponseInto(nil, nil, testTime()) != nil {
 		t.Fatal("nil message flattened")
 	}
 }
@@ -102,7 +102,7 @@ func TestFlattenSkipsOtherTypes(t *testing.T) {
 				Addr: netip.MustParseAddr("192.0.2.1")},
 		},
 	}
-	recs := FlattenResponse(m, testTime())
+	recs := FlattenResponseInto(nil, m, testTime())
 	if len(recs) != 1 || recs[0].RType != dnswire.TypeA {
 		t.Fatalf("recs = %+v", recs)
 	}

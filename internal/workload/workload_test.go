@@ -368,6 +368,35 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 }
 
+// Client DNS-port flows pick their destination out of resolvers.Set.Addrs();
+// with that in map order two generators on one seed disagreed. The fraction
+// is raised so every batch carries many such flows.
+func TestGeneratorDeterministicWithDNSPortTraffic(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumServices = 500
+	cfg.DNSPortTrafficFraction = 0.5
+	cfg.PublicResolverFraction = 0.5
+	u := NewUniverse(cfg)
+	g1, g2 := NewGenerator(u, 5), NewGenerator(u, 5)
+	f1 := g1.FlowBatch(simStart, 2000)
+	f2 := g2.FlowBatch(simStart, 2000)
+	if len(f1) != len(f2) {
+		t.Fatalf("length mismatch: %d vs %d", len(f1), len(f2))
+	}
+	dnsPort := 0
+	for i := range f1 {
+		if f1[i] != f2[i] {
+			t.Fatalf("flow %d differs:\n%+v\n%+v", i, f1[i], f2[i])
+		}
+		if f1[i].DstPort == 53 || f1[i].DstPort == 853 {
+			dnsPort++
+		}
+	}
+	if dnsPort < 500 {
+		t.Fatalf("only %d DNS-port flows in the batch; the test no longer exercises them", dnsPort)
+	}
+}
+
 func BenchmarkDNSQueryEvent(b *testing.B) {
 	u := NewUniverse(DefaultConfig())
 	g := NewGenerator(u, 1)
