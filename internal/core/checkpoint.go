@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cmap"
+	"repro/internal/frame"
 	"repro/internal/snapshot"
 )
 
@@ -48,37 +50,39 @@ type RestoreStats struct {
 // cache needs (restore tolerates both staleness and duplication; the DNS
 // stream re-asserts current truth within one TTL).
 func (c *Correlator) WriteSnapshot(w io.Writer, created int64) error {
-	sw, err := snapshot.NewWriter(w, created)
-	if err != nil {
-		return err
-	}
-	if err := c.fillSnapshot(sw); err != nil {
-		return err
-	}
-	return sw.Close()
+	_, err := c.WriteSnapshotOwned(w, created, nil)
+	return err
 }
 
 // Checkpoint writes a snapshot atomically to path (temp file + rename): a
 // crash mid-write leaves the previous checkpoint intact.
 func (c *Correlator) Checkpoint(path string) error {
-	return snapshot.WriteFile(path, time.Now().UnixNano(), c.fillSnapshot)
+	return snapshot.WriteFile(path, time.Now().UnixNano(), func(w *snapshot.Writer) error {
+		_, err := c.fillSnapshot(w, nil)
+		return err
+	})
 }
 
-// fillSnapshot writes both store families into an open snapshot writer.
-func (c *Correlator) fillSnapshot(w *snapshot.Writer) error {
-	if err := c.ipName.writeSections(w, familyIPName); err != nil {
-		return err
+// fillSnapshot writes both store families, IP-NAME filtered by owns, and
+// returns the number of entries written.
+func (c *Correlator) fillSnapshot(w *snapshot.Writer, owns func(h uint32) bool) (int, error) {
+	n, err := c.ipName.writeSections(w, familyIPName, owns)
+	if err != nil {
+		return n, err
 	}
-	return c.nameCname.writeSections(w, familyNameCname)
+	m, err := c.nameCname.writeSections(w, familyNameCname, nil)
+	return n + m, err
 }
 
 // writeSections emits one section run per (generation, split, key space)
-// cell of the store, iterating shard by shard through cmap.AppendShard so
-// only one shard stripe is read-locked at a time. The entry buffer is
-// reused across shards; keys AppendShard returns are fresh copies, so
-// handing them straight to the writer (which copies again into its payload)
-// never aliases map-internal storage.
-func (s *store) writeSections(w *snapshot.Writer, family uint8) error {
+// cell of the store and returns the number of entries written. It iterates
+// shard by shard through cmap.AppendShard, so only one shard stripe is
+// read-locked at a time; the keys it returns are fresh copies, never map
+// storage. A non-nil owns keeps only the binary 16-byte keys with
+// owns(ipHash(key)) true (AppendShard items carry a zero Hash). String keys
+// are always kept: the ring does not partition them, so, like the
+// NAME-CNAME family, they are replicated.
+func (s *store) writeSections(w *snapshot.Writer, family uint8, owns func(h uint32) bool) (int, error) {
 	gens := [...]struct {
 		code uint8
 		maps []*cmap.Map
@@ -87,6 +91,7 @@ func (s *store) writeSections(w *snapshot.Writer, family uint8) error {
 		{genInactive, s.inactive},
 		{genLong, s.long},
 	}
+	written := 0
 	var items []cmap.Item
 	for _, gen := range gens {
 		for split, m := range gen.maps {
@@ -99,20 +104,27 @@ func (s *store) writeSections(w *snapshot.Writer, family uint8) error {
 					flags = snapshot.SectionFlagBinaryKeys
 				}
 				if err := w.Begin(family, gen.code, flags, uint32(split)); err != nil {
-					return err
+					return written, err
 				}
 				for sh := 0; sh < m.ShardCount(); sh++ {
 					items = m.AppendShard(sh, space, items[:0])
 					for i := range items {
-						if err := w.Entry(items[i].Key, items[i].Value, items[i].Exp); err != nil {
-							return err
+						if owns != nil && space == cmap.Binary && len(items[i].Key) == 16 {
+							k := [16]byte(items[i].Key)
+							if !owns(ipHash(&k)) {
+								continue
+							}
 						}
+						if err := w.Entry(items[i].Key, items[i].Value, items[i].Exp); err != nil {
+							return written, err
+						}
+						written++
 					}
 				}
 			}
 		}
 	}
-	return nil
+	return written, nil
 }
 
 // Restore loads a snapshot stream into the correlator's stores, fanning the
@@ -124,7 +136,9 @@ func (s *store) writeSections(w *snapshot.Writer, family uint8) error {
 // the key hash, never trusted from the file, so a snapshot taken under one
 // NumSplit/Lanes layout restores correctly into any other.
 //
-// Restore is meant for a correlator that has not started running. On a
+// Restore is also the receive half of a shard handoff: every underlying
+// operation (cmap inserts, interning, split placement) is concurrency-safe,
+// so importing into a running correlator only ever adds warmth. On a
 // corrupt or truncated file it returns an error wrapping snapshot.ErrCorrupt
 // with the stats of everything applied so far — sections are validated
 // before they are handed to workers, so a partial restore is simply a less
@@ -246,8 +260,10 @@ func (s *store) insertRestored(gen uint8, h uint32, binKey []byte, strKey, value
 // cold start, anything else records the restore outcome for RestoreResult
 // and the stats counters. Errors fall back to running with whatever state
 // was applied (validated sections only) — a correlator must come up even
-// when its checkpoint was truncated by a crash.
+// when its checkpoint was truncated by a crash. Temporary files a killed
+// checkpoint left are removed first, best effort: they only cost disk.
 func (c *Correlator) restoreFromFile(path string) {
+	frame.RemoveTemps(filepath.Dir(path), func(base string) bool { return base == filepath.Base(path) })
 	f, err := os.Open(path)
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {

@@ -3,7 +3,6 @@ package core
 import (
 	"io"
 	"net/netip"
-	"time"
 
 	"repro/internal/cmap"
 	"repro/internal/snapshot"
@@ -30,76 +29,20 @@ func IPHashAddr(addr netip.Addr) uint32 {
 // layouts. CNAME chains are shipped whole because the forwarder broadcasts
 // CNAME records to every node: each worker walks chains locally, so chain
 // state must be complete everywhere, while IP-NAME entries are owned by
-// exactly one node. Like WriteSnapshot this is safe on a running
-// correlator (shard-at-a-time read locks; fuzzy snapshot semantics).
-// It returns the number of entries written.
+// exactly one node. A nil owns writes the full store (WriteSnapshot). Like
+// WriteSnapshot this is safe on a running correlator (shard-at-a-time read
+// locks; fuzzy snapshot semantics). It returns the number of entries
+// written.
 func (c *Correlator) WriteSnapshotOwned(w io.Writer, created int64, owns func(h uint32) bool) (int, error) {
 	sw, err := snapshot.NewWriter(w, created)
 	if err != nil {
 		return 0, err
 	}
-	n, err := c.ipName.writeSectionsOwned(sw, familyIPName, owns)
-	if err != nil {
-		return n, err
-	}
-	m, err := c.nameCname.writeSectionsOwned(sw, familyNameCname, nil)
-	n += m
+	n, err := c.fillSnapshot(sw, owns)
 	if err != nil {
 		return n, err
 	}
 	return n, sw.Close()
-}
-
-// writeSectionsOwned is writeSections with an ownership filter: binary
-// 16-byte keys are kept only when owns(ipHash(key)) is true. A nil owns
-// keeps everything. String-keyed entries are always kept — they are not
-// addressable by the IP-key hash the ring partitions on, and (like the
-// NAME-CNAME family) they are replicated rather than sharded across nodes.
-// AppendShard returns items with a zero Hash, so the filter recomputes the
-// shared hash from the key bytes.
-func (s *store) writeSectionsOwned(w *snapshot.Writer, family uint8, owns func(h uint32) bool) (int, error) {
-	gens := [...]struct {
-		code uint8
-		maps []*cmap.Map
-	}{
-		{genActive, s.active},
-		{genInactive, s.inactive},
-		{genLong, s.long},
-	}
-	written := 0
-	var items []cmap.Item
-	for _, gen := range gens {
-		for split, m := range gen.maps {
-			if m.Empty() {
-				continue
-			}
-			for _, space := range [...]cmap.KeySpace{cmap.Binary, cmap.Strings} {
-				var flags uint8
-				if space == cmap.Binary {
-					flags = snapshot.SectionFlagBinaryKeys
-				}
-				if err := w.Begin(family, gen.code, flags, uint32(split)); err != nil {
-					return written, err
-				}
-				for sh := 0; sh < m.ShardCount(); sh++ {
-					items = m.AppendShard(sh, space, items[:0])
-					for i := range items {
-						if owns != nil && space == cmap.Binary && len(items[i].Key) == 16 {
-							k := [16]byte(items[i].Key)
-							if !owns(ipHash(&k)) {
-								continue
-							}
-						}
-						if err := w.Entry(items[i].Key, items[i].Value, items[i].Exp); err != nil {
-							return written, err
-						}
-						written++
-					}
-				}
-			}
-		}
-	}
-	return written, nil
 }
 
 // DropOwned removes every IP-NAME entry whose key hash satisfies owns,
@@ -129,14 +72,4 @@ func (c *Correlator) DropOwned(owns func(h uint32) bool) int {
 		}
 	}
 	return dropped
-}
-
-// ImportSnapshot applies a snapshot stream to a running correlator — the
-// receive half of a shard handoff. It is Restore with live semantics made
-// explicit: every underlying operation (cmap inserts, interning, split
-// placement) is concurrency-safe, so importing while the fill and lookup
-// workers run only ever adds warmth. Entries already expired at now are
-// dropped at the door, exactly as in a boot-time restore.
-func (c *Correlator) ImportSnapshot(r io.Reader, now time.Time) (RestoreStats, error) {
-	return c.Restore(r, now)
 }

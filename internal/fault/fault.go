@@ -226,7 +226,7 @@ var (
 
 // New registers a named failpoint. Sites are package-level:
 //
-//	var fpSegRename = fault.New("winstore.segment.rename")
+//	var fpUDPRead = fault.New("stream.udp.read")
 //
 // Registering the same name twice returns the existing point, so tests
 // and refactors cannot split a site in two.

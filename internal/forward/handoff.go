@@ -121,7 +121,7 @@ func (h *Handoff) handleImport(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	stats, err := h.corr.ImportSnapshot(req.Body, time.Now())
+	stats, err := h.corr.Restore(req.Body, time.Now())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

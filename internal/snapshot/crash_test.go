@@ -1,13 +1,9 @@
 package snapshot
 
 import (
-	"errors"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 
-	"repro/internal/fault"
+	"repro/internal/frame/frametest"
 )
 
 // writeSnap checkpoints secs to path through WriteFile.
@@ -27,75 +23,34 @@ func writeSnap(path string, created int64, secs []testSection) error {
 	})
 }
 
-// readSnap loads a snapshot file through the real reader.
-func readSnap(t *testing.T, path string) (int64, map[string][]testEntry) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("previous checkpoint unreadable: %v", err)
+// framed describes the snapshot format to the shared framing suite.
+func framed(t *testing.T) frametest.Format {
+	gens := [2]struct {
+		created int64
+		secs    []testSection
+	}{
+		{111, []testSection{{family: 1, gen: 0, entries: []testEntry{
+			{key: "203.0.113.7", value: "cdn.example", exp: 100},
+			{key: "203.0.113.8", value: "video.example", exp: 120},
+		}}}},
+		{222, []testSection{{family: 1, gen: 1, entries: []testEntry{
+			{key: "203.0.113.9", value: "mail.example", exp: 140},
+		}}}},
 	}
-	return decode(t, data)
-}
-
-// TestCheckpointFaultSweep drives ENOSPC, torn-write, and failed-rename
-// faults through every stage of WriteFile and proves a fault mid-checkpoint
-// never loses the previous good generation: the old file still decodes
-// identically, no temp litter remains, and the next checkpoint lands.
-func TestCheckpointFaultSweep(t *testing.T) {
-	genA := []testSection{{family: 1, gen: 0, entries: []testEntry{
-		{key: "203.0.113.7", value: "cdn.example", exp: 100},
-		{key: "203.0.113.8", value: "video.example", exp: 120},
-	}}}
-	genB := []testSection{{family: 1, gen: 1, entries: []testEntry{
-		{key: "203.0.113.9", value: "mail.example", exp: 140},
-	}}}
-	sweeps := []struct{ point, spec string }{
-		{"snapshot.write", "1*error(no space left on device)"},
-		{"snapshot.write", "1*shortwrite(32)"}, // torn mid-checkpoint
-		{"snapshot.write", "1*shortwrite(0)"},  // torn before the header
-		{"snapshot.sync", "1*error(input/output error)"},
-		{"snapshot.rename", "1*error(no space left on device)"},
-	}
-	for _, sw := range sweeps {
-		t.Run(sw.point+"/"+sw.spec, func(t *testing.T) {
-			defer fault.DisableAll()
-			dir := t.TempDir()
-			path := filepath.Join(dir, "flowdns.snap")
-			if err := writeSnap(path, 111, genA); err != nil {
-				t.Fatalf("good checkpoint: %v", err)
-			}
-			wantCreated, wantEntries := readSnap(t, path)
-
-			if err := fault.Enable(sw.point, sw.spec); err != nil {
-				t.Fatal(err)
-			}
-			err := writeSnap(path, 222, genB)
-			if err == nil {
-				t.Fatal("faulted checkpoint reported success")
-			}
-			if !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("error lost injection provenance: %v", err)
-			}
-			gotCreated, gotEntries := readSnap(t, path)
-			if gotCreated != wantCreated || !reflect.DeepEqual(gotEntries, wantEntries) {
-				t.Fatal("previous checkpoint changed under a failed write")
-			}
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(entries) != 1 {
-				t.Fatalf("temp litter after fault: %d entries in dir", len(entries))
-			}
-
-			// The fault budget is spent: the next checkpoint succeeds and
-			// replaces the generation.
-			if err := writeSnap(path, 222, genB); err != nil {
-				t.Fatalf("post-fault checkpoint: %v", err)
-			}
-			if created, _ := readSnap(t, path); created != 222 {
-				t.Fatalf("recovered checkpoint Created = %d, want 222", created)
-			}
-		})
+	return frametest.Format{
+		Format: &format,
+		Valid: encode(t, 9, []testSection{
+			{family: 0, gen: 0, flags: SectionFlagBinaryKeys, split: 1, entries: []testEntry{
+				{key: "0123456789abcdef", value: "a.example", exp: 99},
+			}},
+		}),
+		Decode: readAll,
+		WriteFile: func(path string, gen int) error {
+			return writeSnap(path, gens[gen].created, gens[gen].secs)
+		},
 	}
 }
+
+// TestCheckpointFaultSweep proves a fault at any stage of WriteFile never
+// loses the previous good checkpoint.
+func TestCheckpointFaultSweep(t *testing.T) { frametest.FaultSweep(t, framed(t), 32) }

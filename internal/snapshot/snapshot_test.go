@@ -2,15 +2,15 @@ package snapshot
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/frame/frametest"
 )
 
 // testEntry is one (section identity, key, value, exp) tuple used to build
@@ -112,12 +112,12 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSectionRotation checks that a cell larger than sectionMaxBytes is
+// TestSectionRotation checks that a cell larger than frame.MaxSection is
 // split across several sections with the same identity and that every entry
 // survives.
 func TestSectionRotation(t *testing.T) {
 	value := string(bytes.Repeat([]byte{'x'}, 1<<16))
-	const n = 80 // 80 * 64KiB = 5 MiB > sectionMaxBytes (4 MiB)
+	const n = 80 // 80 * 64KiB = 5 MiB > frame.MaxSection (4 MiB)
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, 1)
 	if err != nil {
@@ -171,9 +171,9 @@ func TestSectionRotation(t *testing.T) {
 	}
 }
 
-// readAll fully consumes a snapshot byte stream, returning the first error.
-func readAll(data []byte) error {
-	r, err := NewReader(bytes.NewReader(data))
+// readAll fully consumes a snapshot stream, returning the first error.
+func readAll(rd io.Reader) error {
+	r, err := NewReader(rd)
 	if err != nil {
 		return err
 	}
@@ -203,69 +203,19 @@ func TestTruncationDetected(t *testing.T) {
 			{key: "cname.example", value: "svc.example", exp: 0},
 		}},
 	})
-	if err := readAll(data); err != nil {
+	if err := readAll(bytes.NewReader(data)); err != nil {
 		t.Fatalf("intact file: %v", err)
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if err := readAll(data[:cut]); !errors.Is(err, ErrCorrupt) {
+		if err := readAll(bytes.NewReader(data[:cut])); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation at %d/%d bytes: err = %v, want ErrCorrupt", cut, len(data), err)
 		}
 	}
 }
 
-// TestCorruptionDetected flips one byte at a time through the whole file
-// and requires every flip to surface as ErrCorrupt or ErrVersion, or —
-// only for flips inside a section payload or its CRC — to be caught by the
-// section checksum. No flip may both decode fully and go undetected.
-func TestCorruptionDetected(t *testing.T) {
-	data := encode(t, 9, []testSection{
-		{family: 0, gen: 0, flags: SectionFlagBinaryKeys, split: 1, entries: []testEntry{
-			{key: "0123456789abcdef", value: "a.example", exp: 99},
-		}},
-	})
-	for i := range data {
-		mut := bytes.Clone(data)
-		mut[i] ^= 0x40
-		err := readAll(mut)
-		if err == nil {
-			t.Fatalf("flip at byte %d went undetected", i)
-		}
-		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
-			t.Fatalf("flip at byte %d: err = %v, want ErrCorrupt or ErrVersion", i, err)
-		}
-	}
-}
-
-func TestVersionGate(t *testing.T) {
-	data := encode(t, 1, nil)
-	binary.LittleEndian.PutUint16(data[4:6], Version+1)
-	// Recompute the header CRC so only the version is "wrong".
-	fixHeaderCRC(data)
-	_, err := NewReader(bytes.NewReader(data))
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: err = %v, want ErrVersion", err)
-	}
-}
-
-func fixHeaderCRC(data []byte) {
-	binary.LittleEndian.PutUint32(data[16:20], crc32.ChecksumIEEE(data[:16]))
-}
-
-// TestOversizedClaimsRejected makes sure corrupted length/count fields are
-// rejected before any large allocation.
-func TestOversizedClaimsRejected(t *testing.T) {
-	data := encode(t, 1, []testSection{
-		{family: 0, gen: 0, split: 0, entries: []testEntry{{key: "k", value: "v", exp: 1}}},
-	})
-	// The section header starts right after the 20-byte file header;
-	// payloadLen is at offset 12, count at offset 8 within it.
-	sec := data[headerLen:]
-	binary.LittleEndian.PutUint32(sec[12:16], 1<<30)
-	err := readAll(data)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("oversized payloadLen: err = %v, want ErrCorrupt", err)
-	}
-}
+func TestCorruptionDetected(t *testing.T)      { frametest.Corruption(t, framed(t)) }
+func TestVersionGate(t *testing.T)             { frametest.VersionGate(t, framed(t)) }
+func TestOversizedClaimsRejected(t *testing.T) { frametest.OversizedClaims(t, framed(t)) }
 
 func TestEntryWithoutBegin(t *testing.T) {
 	w, err := NewWriter(io.Discard, 1)
@@ -352,7 +302,7 @@ func TestRandomRoundTrip(t *testing.T) {
 			secs = append(secs, sec)
 		}
 		data := encode(t, int64(trial), secs)
-		if err := readAll(data); err != nil {
+		if err := readAll(bytes.NewReader(data)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		_, got := decode(t, data)

@@ -1,98 +1,39 @@
 package winstore
 
 import (
-	"errors"
-	"os"
-	"path/filepath"
-	"reflect"
+	"io"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/frame/frametest"
 	"repro/internal/rollup"
 )
 
-// readGood reads path and fails the test unless it decodes cleanly.
-func readGood(t *testing.T, path string) *Segment {
-	t.Helper()
-	seg, err := ReadSegmentFile(path)
-	if err != nil {
-		t.Fatalf("previous generation unreadable: %v", err)
-	}
-	return seg
-}
-
-// noTempLitter fails the test if dir holds anything but wantFiles.
-func noTempLitter(t *testing.T, dir string, wantFiles int) {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != wantFiles {
-		names := make([]string, 0, len(entries))
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Fatalf("directory holds %v, want %d files (temp litter after fault?)", names, wantFiles)
-	}
-}
-
-// TestSegmentWriteFaultSweep drives every failpoint on the segment write
-// path — ENOSPC at each syscall family plus a torn (short) write — and
-// proves the invariant the atomic-write discipline promises: the attempt
-// fails, the previous good generation still decodes bit-for-bit, and no
-// temp file is left behind.
-func TestSegmentWriteFaultSweep(t *testing.T) {
+// framed describes the segment format to the shared framing suite.
+func framed(t *testing.T) frametest.Format {
 	base := time.Date(2022, 5, 25, 12, 0, 0, 0, time.UTC)
-	genA := &Segment{Start: base, Dur: time.Hour, Windows: []rollup.Window{mkWindow(base, time.Minute, 8, 1)}}
-	genB := &Segment{Start: base, Dur: time.Hour, Windows: []rollup.Window{
-		mkWindow(base, time.Minute, 8, 1),
-		mkWindow(base.Add(time.Minute), time.Minute, 6, 2),
-	}}
-	sweeps := []struct{ point, spec string }{
-		{"winstore.segment.write", "1*error(no space left on device)"},
-		{"winstore.segment.write", "1*shortwrite(64)"}, // torn mid-encode
-		{"winstore.segment.write", "1*shortwrite(0)"},  // torn before the header
-		{"winstore.segment.sync", "1*error(input/output error)"},
-		{"winstore.segment.rename", "1*error(no space left on device)"},
+	gens := [2]*Segment{
+		{Start: base, Dur: time.Hour, Windows: []rollup.Window{mkWindow(base, time.Minute, 8, 1)}},
+		{Start: base, Dur: time.Hour, Windows: []rollup.Window{
+			mkWindow(base, time.Minute, 8, 1),
+			mkWindow(base.Add(time.Minute), time.Minute, 6, 2),
+		}},
 	}
-	for _, sw := range sweeps {
-		t.Run(sw.point+"/"+sw.spec, func(t *testing.T) {
-			defer fault.DisableAll()
-			dir := t.TempDir()
-			path := filepath.Join(dir, "part-0-3600.seg")
-			if err := WriteSegmentFile(path, genA); err != nil {
-				t.Fatalf("good generation write: %v", err)
-			}
-			want := readGood(t, path)
-
-			if err := fault.Enable(sw.point, sw.spec); err != nil {
-				t.Fatal(err)
-			}
-			err := WriteSegmentFile(path, genB)
-			if err == nil {
-				t.Fatal("faulted write reported success")
-			}
-			if !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("error lost injection provenance: %v", err)
-			}
-			got := readGood(t, path)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("previous generation changed under a failed write")
-			}
-			noTempLitter(t, dir, 1)
-
-			// The site heals once the budget is spent: the next write lands.
-			if err := WriteSegmentFile(path, genB); err != nil {
-				t.Fatalf("post-fault write: %v", err)
-			}
-			if got := readGood(t, path); len(got.Windows) != len(genB.Windows) {
-				t.Fatalf("recovered write holds %d windows, want %d", len(got.Windows), len(genB.Windows))
-			}
-		})
+	return frametest.Format{
+		Format: &format,
+		Valid:  encodeSeg(t, testSegment()),
+		Decode: func(r io.Reader) error {
+			_, err := DecodeSegment(r)
+			return err
+		},
+		WriteFile: func(path string, gen int) error { return WriteSegmentFile(path, gens[gen]) },
 	}
 }
+
+// TestSegmentWriteFaultSweep proves a fault at any stage of
+// WriteSegmentFile never loses the previous good generation.
+func TestSegmentWriteFaultSweep(t *testing.T) { frametest.FaultSweep(t, framed(t), 64) }
 
 // TestStoreSurvivesSegmentFaults proves the same invariant one layer up:
 // a Store whose persist hits ENOSPC counts the error, keeps serving the

@@ -11,41 +11,31 @@
 //
 // # Segment format
 //
-// A segment file reuses the snapshot codec's framing discipline — magic and
-// version header, CRC32 (IEEE) over every region, atomic temp-file+rename
-// writes, and an end marker that distinguishes truncation from completion:
+// A segment is an internal/frame file with magic "FDWP"; frame owns the
+// framing, checksums, allocation bounds and atomic write. This package owns
 //
-//	header : "FDWP" | version u16 | flags u16 | partStart i64 | partDur i64 | crc u32
-//	section: 'W' | flags u8 | winStart i64 | winDur u32 | rows u32 | payloadLen u32 | crc u32 | payload
-//	end    : 'E' | sections u32 | crc u32
+//	header meta : partStart i64 | partDur i64
+//	section meta: flags u8 | winStart i64 | winDur u32
+//	row         : serviceLen uvarint | service | asn uvarint | category u8 |
+//	              bytes u64 | packets u64 | flows u64
 //
-// All integers are little-endian; durations are whole seconds. Each
-// section is one sealed window (or one partial of it: oversized windows
-// rotate across several sections with the same interval, exactly as
-// snapshot sections rotate — partials merge back under the rollup merge
-// laws). A section payload is `rows` encoded rows:
-//
-//	row: serviceLen uvarint | service | asn uvarint | category u8 |
-//	     bytes u64 | packets u64 | flows u64
-//
-// A decoder that hits damage mid-file returns every section it already
-// CRC-validated along with the error, so a partially written or torn
-// partition still contributes its validated prefix.
+// Times are Unix seconds, durations whole seconds. A section is one sealed
+// window, or one partial of it: oversized windows rotate into several
+// sections of the same interval, and partials merge back under the rollup
+// merge laws. A decoder that hits damage returns every section it already
+// validated along with the error, so a torn partition keeps its prefix.
 package winstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/dbl"
-	"repro/internal/fault"
+	"repro/internal/frame"
 	"repro/internal/rollup"
 )
 
@@ -55,26 +45,6 @@ const Version = 1
 
 // Magic identifies a window-store segment file.
 const Magic = "FDWP"
-
-const (
-	headerLen     = 28 // magic(4) version(2) flags(2) partStart(8) partDur(8) crc(4)
-	sectionHdrLen = 26 // 'W'(1) flags(1) winStart(8) winDur(4) rows(4) payloadLen(4) crc(4)
-	endLen        = 9  // 'E'(1) sections(4) crc(4)
-
-	sectionMarker = 'W'
-	endMarker     = 'E'
-
-	// sectionMaxBytes bounds one section's payload: the encoder rotates an
-	// oversized window into a fresh section of the same interval, and the
-	// decoder rejects claimed lengths beyond twice this before allocating —
-	// a corrupted length field can never force a huge allocation.
-	sectionMaxBytes = 1 << 22
-
-	// rowMinBytes is the smallest possible encoded row (empty service,
-	// 1-byte ASN varint, category, three fixed counters); the decoder
-	// cross-checks a section's row count against its payload length with it.
-	rowMinBytes = 1 + 1 + 1 + 24
-)
 
 // SegFlagCompacted marks a segment whose windows have been compacted: one
 // canonical window per interval, partials already merged.
@@ -87,6 +57,12 @@ var ErrCorrupt = errors.New("winstore: corrupt")
 
 // ErrVersion reports a segment written by a newer format version.
 var ErrVersion = errors.New("winstore: unsupported version")
+
+// format frames segment files; its failpoints are winstore.segment.{write,sync,rename}.
+// The smallest row (empty service, 1-byte ASN, category, three counters) is
+// 1+1+1+24 bytes.
+var format = frame.Format{Magic: Magic, Version: Version, HeaderMeta: 16, Marker: 'W', SectionMeta: 13,
+	MinRecord: 1 + 1 + 1 + 24, Corrupt: ErrCorrupt, Unsupported: ErrVersion, Faults: frame.NewFaults("winstore.segment")}
 
 // Segment is the decoded contents of one partition file: the partition
 // interval plus every sealed window (or validated partial) it holds.
@@ -106,43 +82,25 @@ type Segment struct {
 // slice order, one section each; windows whose encoding outgrows the
 // section size limit rotate into additional sections of the same interval.
 func EncodeSegment(w io.Writer, seg *Segment) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [headerLen]byte
-	copy(hdr[:4], Magic)
-	binary.LittleEndian.PutUint16(hdr[4:6], Version)
 	var flags uint16
 	if seg.Compacted {
 		flags |= SegFlagCompacted
 	}
-	binary.LittleEndian.PutUint16(hdr[6:8], flags)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(seg.Start.Unix()))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(seg.Dur/time.Second))
-	binary.LittleEndian.PutUint32(hdr[24:28], crc32.ChecksumIEEE(hdr[:24]))
-	if _, err := bw.Write(hdr[:]); err != nil {
+	var meta [16]byte
+	binary.LittleEndian.PutUint64(meta[0:8], uint64(seg.Start.Unix()))
+	binary.LittleEndian.PutUint64(meta[8:16], uint64(seg.Dur/time.Second))
+	fw, err := format.NewWriter(w, flags, meta[:])
+	if err != nil {
 		return err
 	}
-	var sections uint32
 	var payload []byte
 	writeSection := func(win *rollup.Window, rows uint32) error {
-		var sh [sectionHdrLen]byte
-		sh[0] = sectionMarker
-		binary.LittleEndian.PutUint64(sh[2:10], uint64(win.Start.Unix()))
-		binary.LittleEndian.PutUint32(sh[10:14], uint32(win.Dur/time.Second))
-		binary.LittleEndian.PutUint32(sh[14:18], rows)
-		binary.LittleEndian.PutUint32(sh[18:22], uint32(len(payload)))
-		crc := crc32.NewIEEE()
-		crc.Write(sh[1:22])
-		crc.Write(payload)
-		binary.LittleEndian.PutUint32(sh[22:26], crc.Sum32())
-		if _, err := bw.Write(sh[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(payload); err != nil {
-			return err
-		}
+		var sm [13]byte // flags u8 (none defined) | winStart i64 | winDur u32
+		binary.LittleEndian.PutUint64(sm[1:9], uint64(win.Start.Unix()))
+		binary.LittleEndian.PutUint32(sm[9:13], uint32(win.Dur/time.Second))
+		err := fw.Section(sm[:], rows, payload)
 		payload = payload[:0]
-		sections++
-		return nil
+		return err
 	}
 	for i := range seg.Windows {
 		win := &seg.Windows[i]
@@ -150,7 +108,7 @@ func EncodeSegment(w io.Writer, seg *Segment) error {
 		for r := range win.Rows {
 			payload = appendRow(payload, &win.Rows[r])
 			rows++
-			if len(payload) >= sectionMaxBytes && r+1 < len(win.Rows) {
+			if len(payload) >= frame.MaxSection && r+1 < len(win.Rows) {
 				// Rotate: flush this partial and continue the window in a
 				// fresh section of the same interval.
 				if err := writeSection(win, rows); err != nil {
@@ -163,23 +121,13 @@ func EncodeSegment(w io.Writer, seg *Segment) error {
 			return err
 		}
 	}
-	var end [endLen]byte
-	end[0] = endMarker
-	binary.LittleEndian.PutUint32(end[1:5], sections)
-	binary.LittleEndian.PutUint32(end[5:9], crc32.ChecksumIEEE(end[:5]))
-	if _, err := bw.Write(end[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return fw.Close()
 }
 
 // appendRow encodes one rollup row.
 func appendRow(b []byte, r *rollup.Row) []byte {
-	var pfx [binary.MaxVarintLen64]byte
-	b = append(b, pfx[:binary.PutUvarint(pfx[:], uint64(len(r.Service)))]...)
-	b = append(b, r.Service...)
-	b = append(b, pfx[:binary.PutUvarint(pfx[:], uint64(r.ASN))]...)
-	b = append(b, byte(r.Category))
+	b = append(binary.AppendUvarint(b, uint64(len(r.Service))), r.Service...)
+	b = append(binary.AppendUvarint(b, uint64(r.ASN)), byte(r.Category))
 	b = binary.LittleEndian.AppendUint64(b, r.Bytes)
 	b = binary.LittleEndian.AppendUint64(b, r.Packets)
 	b = binary.LittleEndian.AppendUint64(b, r.Flows)
@@ -187,15 +135,11 @@ func appendRow(b []byte, r *rollup.Row) []byte {
 }
 
 // decodeRows decodes count rows from payload.
-func decodeRows(payload []byte, count uint32) ([]rollup.Row, error) {
-	if count == 0 {
-		if len(payload) != 0 {
-			return nil, fmt.Errorf("%w: %d payload bytes after 0 rows", ErrCorrupt, len(payload))
-		}
-		return nil, nil
+func decodeRows(p []byte, count uint32) ([]rollup.Row, error) {
+	var rows []rollup.Row
+	if count > 0 {
+		rows = make([]rollup.Row, 0, count)
 	}
-	rows := make([]rollup.Row, 0, count)
-	p := payload
 	for i := uint32(0); i < count; i++ {
 		n, used := binary.Uvarint(p)
 		if used <= 0 || n > uint64(len(p)-used) {
@@ -233,155 +177,40 @@ func decodeRows(payload []byte, count uint32) ([]rollup.Row, error) {
 // wrapping ErrCorrupt (or ErrVersion) — the partial-prefix contract Open
 // relies on: a torn write costs the tail, never the partition.
 func DecodeSegment(r io.Reader) (*Segment, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+	fr, err := format.NewReader(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(hdr[:4]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:4])
-	}
-	if got, want := binary.LittleEndian.Uint32(hdr[24:28]), crc32.ChecksumIEEE(hdr[:24]); got != want {
-		return nil, fmt.Errorf("%w: header crc %08x != %08x", ErrCorrupt, got, want)
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v > Version {
-		return nil, fmt.Errorf("%w: file version %d > %d", ErrVersion, v, Version)
-	}
-	flags := binary.LittleEndian.Uint16(hdr[6:8])
 	seg := &Segment{
-		Start:     time.Unix(int64(binary.LittleEndian.Uint64(hdr[8:16])), 0).UTC(),
-		Dur:       time.Duration(binary.LittleEndian.Uint64(hdr[16:24])) * time.Second,
-		Compacted: flags&SegFlagCompacted != 0,
+		Start:     time.Unix(int64(binary.LittleEndian.Uint64(fr.Meta[0:8])), 0).UTC(),
+		Dur:       time.Duration(binary.LittleEndian.Uint64(fr.Meta[8:16])) * time.Second,
+		Compacted: fr.Flags&SegFlagCompacted != 0,
 	}
-	var sections uint32
 	for {
-		marker, err := br.ReadByte()
-		if err != nil {
-			return seg, fmt.Errorf("%w: missing end marker: %v", ErrCorrupt, err)
-		}
-		switch marker {
-		case endMarker:
-			var end [endLen]byte
-			end[0] = endMarker
-			if _, err := io.ReadFull(br, end[1:]); err != nil {
-				return seg, fmt.Errorf("%w: short end marker: %v", ErrCorrupt, err)
-			}
-			if got, want := binary.LittleEndian.Uint32(end[5:9]), crc32.ChecksumIEEE(end[:5]); got != want {
-				return seg, fmt.Errorf("%w: end crc %08x != %08x", ErrCorrupt, got, want)
-			}
-			if got := binary.LittleEndian.Uint32(end[1:5]); got != sections {
-				return seg, fmt.Errorf("%w: end marker counts %d sections, read %d", ErrCorrupt, got, sections)
-			}
+		meta, count, payload, err := fr.Next()
+		if err == io.EOF {
 			return seg, nil
-		case sectionMarker:
-		default:
-			return seg, fmt.Errorf("%w: unknown marker %#02x", ErrCorrupt, marker)
 		}
-		var sh [sectionHdrLen]byte
-		sh[0] = sectionMarker
-		if _, err := io.ReadFull(br, sh[1:]); err != nil {
-			return seg, fmt.Errorf("%w: short section header: %v", ErrCorrupt, err)
-		}
-		count := binary.LittleEndian.Uint32(sh[14:18])
-		payloadLen := binary.LittleEndian.Uint32(sh[18:22])
-		// Sanity before allocating, as in the snapshot reader: the encoder
-		// never produces an oversized or under-filled section, so lengths
-		// beyond these bounds are corruption, not data.
-		if payloadLen > 2*sectionMaxBytes {
-			return seg, fmt.Errorf("%w: section payload %d exceeds limit", ErrCorrupt, payloadLen)
-		}
-		if uint64(count)*rowMinBytes > uint64(payloadLen) {
-			return seg, fmt.Errorf("%w: %d rows cannot fit %d payload bytes", ErrCorrupt, count, payloadLen)
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return seg, fmt.Errorf("%w: short section payload: %v", ErrCorrupt, err)
-		}
-		crc := crc32.NewIEEE()
-		crc.Write(sh[1:22])
-		crc.Write(payload)
-		if got, want := binary.LittleEndian.Uint32(sh[22:26]), crc.Sum32(); got != want {
-			return seg, fmt.Errorf("%w: section crc %08x != %08x", ErrCorrupt, got, want)
+		if err != nil {
+			return seg, err
 		}
 		rows, err := decodeRows(payload, count)
 		if err != nil {
 			return seg, err
 		}
 		seg.Windows = append(seg.Windows, rollup.Window{
-			Start: time.Unix(int64(binary.LittleEndian.Uint64(sh[2:10])), 0).UTC(),
-			Dur:   time.Duration(binary.LittleEndian.Uint32(sh[10:14])) * time.Second,
+			Start: time.Unix(int64(binary.LittleEndian.Uint64(meta[1:9])), 0).UTC(),
+			Dur:   time.Duration(binary.LittleEndian.Uint32(meta[9:13])) * time.Second,
 			Rows:  rows,
 		})
-		sections++
 	}
 }
 
-// Failpoints on the segment write path, one per syscall family the
-// crash-safety discipline depends on. "write" additionally supports the
-// shortwrite action (a torn write mid-encode); all three take error/delay/
-// panic. Injected faults land on the temp file, never the live segment —
-// the sweep tests prove the previous generation survives each of them.
-var (
-	fpSegWrite  = fault.New("winstore.segment.write")
-	fpSegSync   = fault.New("winstore.segment.sync")
-	fpSegRename = fault.New("winstore.segment.rename")
-)
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable — without it a power cut after rename can roll the directory
-// back to the old entry even though the data blocks were synced.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// WriteSegmentFile writes seg to path atomically: a temporary file in the
-// same directory, fsynced, then renamed over path, then the directory
-// fsynced — the same discipline as snapshot.WriteFile, so readers never
-// observe a partial segment and a crash mid-write leaves the previous
-// segment intact.
-func WriteSegmentFile(path string, seg *Segment) (err error) {
-	if err = fpSegWrite.Inject(); err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err = EncodeSegment(fpSegWrite.Writer(f), seg); err != nil {
-		return err
-	}
-	if err = fpSegSync.Inject(); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	if err = fpSegRename.Inject(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(dir)
+// WriteSegmentFile writes seg to path atomically through frame's
+// WriteFile, so readers never observe a partial segment and a crash
+// mid-write leaves the previous segment intact.
+func WriteSegmentFile(path string, seg *Segment) error {
+	return format.WriteFile(path, func(w io.Writer) error { return EncodeSegment(w, seg) })
 }
 
 // ReadSegmentFile decodes one segment file, honoring DecodeSegment's

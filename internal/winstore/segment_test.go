@@ -2,9 +2,7 @@ package winstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/dbl"
+	"repro/internal/frame/frametest"
 	"repro/internal/rollup"
 )
 
@@ -125,63 +124,16 @@ func TestSegmentTruncationKeepsValidatedPrefix(t *testing.T) {
 	}
 }
 
-// TestSegmentCorruptionDetected flips one byte at a time through the whole
-// file: every flip must surface as ErrCorrupt or ErrVersion — no flip may
-// decode fully and go undetected.
-func TestSegmentCorruptionDetected(t *testing.T) {
-	seg := testSegment()
-	data := encodeSeg(t, seg)
-	for i := range data {
-		mut := bytes.Clone(data)
-		mut[i] ^= 0x40
-		_, err := DecodeSegment(bytes.NewReader(mut))
-		if err == nil {
-			t.Fatalf("flip at byte %d went undetected", i)
-		}
-		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
-			t.Fatalf("flip at byte %d: err = %v, want ErrCorrupt or ErrVersion", i, err)
-		}
-	}
-}
-
-func TestSegmentVersionGate(t *testing.T) {
-	data := encodeSeg(t, testSegment())
-	binary.LittleEndian.PutUint16(data[4:6], Version+1)
-	binary.LittleEndian.PutUint32(data[24:28], crc32.ChecksumIEEE(data[:24]))
-	_, err := DecodeSegment(bytes.NewReader(data))
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: err = %v, want ErrVersion", err)
-	}
-}
-
-// TestSegmentOversizedClaimsRejected corrupts the first section's length
-// and count fields to absurd values and requires rejection before any
-// large allocation (the decoder's pre-allocation sanity checks).
-func TestSegmentOversizedClaimsRejected(t *testing.T) {
-	data := encodeSeg(t, testSegment())
-	// Section header begins after the 28-byte file header; payloadLen is at
-	// offset 18 within it, row count at 14.
-	for _, mutate := range []func(sh []byte){
-		func(sh []byte) { binary.LittleEndian.PutUint32(sh[18:22], 1<<31) },
-		func(sh []byte) { binary.LittleEndian.PutUint32(sh[14:18], 1<<30) },
-	} {
-		mut := bytes.Clone(data)
-		mutate(mut[headerLen : headerLen+sectionHdrLen])
-		// The claim bounds fire before any allocation or checksum: the
-		// decoder must reject without ever reading the claimed payload.
-		_, err := DecodeSegment(bytes.NewReader(mut))
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("oversized claim: err = %v, want ErrCorrupt", err)
-		}
-	}
-}
+func TestSegmentCorruptionDetected(t *testing.T)      { frametest.Corruption(t, framed(t)) }
+func TestSegmentVersionGate(t *testing.T)             { frametest.VersionGate(t, framed(t)) }
+func TestSegmentOversizedClaimsRejected(t *testing.T) { frametest.OversizedClaims(t, framed(t)) }
 
 // TestSegmentSectionRotation forces a window whose encoding exceeds the
 // section payload limit and checks it splits into partials that merge back
 // to the original.
 func TestSegmentSectionRotation(t *testing.T) {
 	base := time.Date(2022, 5, 25, 0, 0, 0, 0, time.UTC)
-	// ~160k rows at ~30 bytes each ≈ 5 MB > sectionMaxBytes.
+	// ~160k rows at ~30 bytes each ≈ 5 MB > frame.MaxSection.
 	big := rollup.Window{Start: base, Dur: time.Minute}
 	for i := 0; i < 160_000; i++ {
 		big.Rows = append(big.Rows, rollup.Row{

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/rollup"
 )
 
@@ -124,6 +125,11 @@ func Open(cfg Config) (*Store, error) {
 		return nil, errors.New("winstore: no directory configured")
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("winstore: %w", err)
+	}
+	// Temporary files a killed writer left behind are never read and never
+	// retired by retention: remove them before any writer starts.
+	if err := frame.RemoveTemps(cfg.Dir, func(base string) bool { return filepath.Ext(base) == ".seg" }); err != nil {
 		return nil, fmt.Errorf("winstore: %w", err)
 	}
 	s := &Store{cfg: cfg, parts: make(map[int64]*partition)}

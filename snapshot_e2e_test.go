@@ -13,7 +13,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnswire"
 	"repro/internal/netflow"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
+	"repro/internal/winstore"
 	"repro/internal/workload"
 )
 
@@ -251,5 +253,75 @@ func TestLoopbackSoak(t *testing.T) {
 	c2 := core.New(cfg2)
 	if rst, err := c2.RestoreResult(); err != nil || rst.Entries == 0 {
 		t.Fatalf("post-soak restore: %+v, %v", rst, err)
+	}
+}
+
+// TestStaleTempsRemovedAtBoot plants the temporary files a writer killed
+// between create and rename leaves beside each durable format's published
+// file, and checks that booting over them — restore-on-boot for the
+// snapshot, Open for the window store — removes every one while keeping
+// the published file and unrelated files.
+func TestStaleTempsRemovedAtBoot(t *testing.T) {
+	for _, tc := range []struct {
+		name, file string
+		publish    func(path string) error
+		boot       func(t *testing.T, dir, path string)
+	}{
+		{
+			name: "snapshot",
+			file: "store.snapshot",
+			publish: func(path string) error {
+				return snapshot.WriteFile(path, 1, func(*snapshot.Writer) error { return nil })
+			},
+			boot: func(t *testing.T, _, path string) {
+				cfg := core.DefaultConfig()
+				cfg.SnapshotPath = path
+				if _, err := core.New(cfg).RestoreResult(); err != nil {
+					t.Fatalf("restore: %v", err)
+				}
+			},
+		},
+		{
+			name: "segment",
+			file: "part-0-3600.seg",
+			publish: func(path string) error {
+				return winstore.WriteSegmentFile(path, &winstore.Segment{Start: time.Unix(0, 0), Dur: time.Hour})
+			},
+			boot: func(t *testing.T, dir, _ string) {
+				s, err := winstore.Open(winstore.Config{Dir: dir, PartDur: time.Hour})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, tc.file)
+			if err := tc.publish(path); err != nil {
+				t.Fatal(err)
+			}
+			stale := []string{path + ".tmp123456789", path + ".tmp42"}
+			unrelated := filepath.Join(dir, "notes.txt")
+			for _, p := range append(stale, unrelated) {
+				if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.boot(t, dir, path)
+			for _, p := range stale {
+				if _, err := os.Stat(p); !os.IsNotExist(err) {
+					t.Errorf("stale temp %s survived boot (stat err %v)", filepath.Base(p), err)
+				}
+			}
+			for _, p := range []string{path, unrelated} {
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("boot removed %s: %v", filepath.Base(p), err)
+				}
+			}
+		})
 	}
 }
