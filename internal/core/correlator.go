@@ -290,7 +290,7 @@ func (c *Correlator) laneFor(addr netip.Addr) int {
 // fillLaneFor returns the fill lane owning rec. A/AAAA records route by the
 // same ipHash of the answer address that labels their store split, so with
 // FillLanes == Lanes each fill lane writes only its own split slice; the
-// offer path materializes the typed address first (typeAnswerAddr), so a
+// offer path materializes the typed address first (TypeAnswerAddr), so a
 // string-only producer's records route identically to a wire source's for
 // the same IP. Records without a parsable address (CNAMEs, garbage
 // answers) route by the answer-string hash — any lane ingests them
@@ -311,23 +311,6 @@ func (c *Correlator) fillLaneForHash(h uint32) int {
 	return int(h % uint32(len(c.fill.lanes)))
 }
 
-// typeAnswerAddr materializes the typed address of a string-only A/AAAA
-// record in place: one parse at offer time instead of one per ingest, and
-// — because the fill-lane partition keys on the typed address — records
-// for the same IP land on the same lane no matter which producer built
-// them. Unparsable answers are left as-is (the §3.2 filter rejects them at
-// ingest).
-func typeAnswerAddr(rec *stream.DNSRecord) {
-	if rec.Addr.IsValid() || rec.Answer == "" {
-		return
-	}
-	if rec.RType == dnswire.TypeA || rec.RType == dnswire.TypeAAAA {
-		if addr, err := netip.ParseAddr(rec.Answer); err == nil {
-			rec.Addr = addr
-		}
-	}
-}
-
 // Lanes returns the number of correlation lanes in effect.
 func (c *Correlator) Lanes() int { return len(c.look.lanes) }
 
@@ -344,7 +327,7 @@ func (c *Correlator) Config() Config { return c.cfg }
 // answer-address hash, so records for the same address always land on the
 // same lane.
 func (c *Correlator) OfferDNS(rec stream.DNSRecord) bool {
-	typeAnswerAddr(&rec)
+	rec.TypeAnswerAddr()
 	return c.fill.lanes[c.fillLaneFor(&rec)].Offer(rec)
 }
 
@@ -361,7 +344,7 @@ func (c *Correlator) OfferDNSBatch(recs []stream.DNSRecord) int {
 	p := c.fill.partition()
 	for i := range recs {
 		r := recs[i]
-		typeAnswerAddr(&r)
+		r.TypeAnswerAddr()
 		l := c.fillLaneFor(&r)
 		p.lane[l] = append(p.lane[l], r)
 	}

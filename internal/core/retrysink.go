@@ -416,7 +416,8 @@ type spillFile struct {
 
 // openSpillFile opens (creating if needed) the spill file and counts any
 // backlog a previous process left behind. A torn final line — a crash
-// mid-append — is ignored; its batch was never acknowledged anywhere.
+// mid-append — is cut off; its batch was never acknowledged anywhere, and
+// left in place it would swallow the next appended line.
 func openSpillFile(path string) (*spillFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -430,33 +431,30 @@ func openSpillFile(path string) (*spillFile, error) {
 	return s, nil
 }
 
-// scan counts records and bytes from the replay cursor to the end.
+// scan counts the records in the file and truncates it to the end of its
+// last complete line. A complete line that does not decode counts no
+// records, as replay skips it.
 func (s *spillFile) scan() error {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	s.records = 0
+	s.records, s.bytes = 0, 0
 	r := bufio.NewReaderSize(s.f, 1<<16)
 	for {
 		line, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
-			// No trailing newline: torn tail from a crash mid-append; the
-			// bytes after the last good line are dead weight until the next
-			// truncate-on-drain.
-			break
+			return err
 		}
+		s.bytes += int64(len(line))
 		var recs []spillRecord
-		if json.Unmarshal(line, &recs) != nil {
-			break
+		if json.Unmarshal(line, &recs) == nil {
+			s.records += len(recs)
 		}
-		s.records += len(recs)
 	}
-	end, err := s.f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return err
-	}
-	s.bytes = end
-	return nil
+	return s.f.Truncate(s.bytes)
 }
 
 // append encodes one batch as a line and appends it, returning the new
@@ -477,10 +475,9 @@ func (s *spillFile) append(batch []CorrelatedFlow) (int64, error) {
 		return s.bytes, err
 	}
 	line = append(line, '\n')
-	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
-		return s.bytes, err
-	}
-	if _, err := s.f.Write(line); err != nil {
+	// Write at the end of the last complete line: a failed partial write
+	// before this one is overwritten, never joined to this line.
+	if _, err := s.f.WriteAt(line, s.bytes); err != nil {
 		return s.bytes, err
 	}
 	s.bytes += int64(len(line))

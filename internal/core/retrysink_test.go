@@ -313,6 +313,81 @@ func TestSpillToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestSpillAppendAfterTornTail proves a torn tail left by a crash does not
+// swallow the next spilled batch: the file is cut back to its last
+// complete line at open, so a batch spilled after the restart lands on a
+// line of its own and replays with the old backlog.
+func TestSpillAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "spill.jsonl")
+
+	rs, _ := newTestRetrySink(t, &flakySink{down: true}, RetryConfig{MaxRetries: -1, MemLimit: -1, SpillPath: path})
+	rs.WriteBatch(context.Background(), retryBatch(0, 1))
+	rs.disk.f.Sync()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`[{"ts":"2026-01-01T00:00:00Z","src":"10.`)
+	f.Close()
+
+	inner := &flakySink{down: true}
+	rs2, _ := newTestRetrySink(t, inner, RetryConfig{MaxRetries: -1, MemLimit: -1, SpillPath: path})
+	rs2.WriteBatch(context.Background(), retryBatch(1, 3))
+	if st := rs2.Stats(); st.DiskDepth != 4 {
+		t.Fatalf("DiskDepth = %d, want 4", st.DiskDepth)
+	}
+	inner.setDown(false)
+	if err := rs2.Flush(); err != nil {
+		t.Fatalf("Flush = %v", err)
+	}
+	if inner.count() != 4 {
+		t.Fatalf("delivered %d, want 4 (batch spilled after the torn tail lost)", inner.count())
+	}
+	for i, cf := range inner.accepted {
+		if cf.Flow.Bytes != uint64(i) {
+			t.Fatalf("record %d has Bytes %d: replay out of order", i, cf.Flow.Bytes)
+		}
+	}
+	if st := rs2.Stats(); st.SpillDepth != 0 || st.Replayed != 4 {
+		t.Fatalf("drained stats = %+v, want SpillDepth 0 and 4 replayed", st)
+	}
+}
+
+// TestSpillSkipsUndecodableLine proves the backlog count and the replay
+// agree on a complete line that does not decode: both skip it, so the
+// lines after it are counted, replayed, and the depth returns to zero.
+func TestSpillSkipsUndecodableLine(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "spill.jsonl")
+
+	rs, _ := newTestRetrySink(t, &flakySink{down: true}, RetryConfig{MaxRetries: -1, MemLimit: -1, SpillPath: path})
+	rs.WriteBatch(context.Background(), retryBatch(0, 2))
+	rs.disk.f.Sync()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString("not json\n")
+	f.Close()
+	rs.WriteBatch(context.Background(), retryBatch(2, 3))
+
+	inner := &flakySink{}
+	rs2, _ := newTestRetrySink(t, inner, RetryConfig{SpillPath: path})
+	if st := rs2.Stats(); st.DiskDepth != 5 {
+		t.Fatalf("DiskDepth = %d, want 5 (lines after the bad one not counted?)", st.DiskDepth)
+	}
+	if err := rs2.Flush(); err != nil {
+		t.Fatalf("Flush = %v", err)
+	}
+	if inner.count() != 5 {
+		t.Fatalf("replayed %d, want 5", inner.count())
+	}
+	if st := rs2.Stats(); st.SpillDepth != 0 || st.SpillBytes != 0 {
+		t.Fatalf("drained stats = %+v, want an empty, truncated spill file", st)
+	}
+}
+
 // TestRetrySinkPanicContainment proves an inner-sink panic is converted to
 // a failed attempt — retried, then spilled — never escaping to the caller.
 func TestRetrySinkPanicContainment(t *testing.T) {

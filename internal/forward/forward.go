@@ -267,7 +267,7 @@ func (r *Router) OfferDNSBatch(recs []stream.DNSRecord) int {
 	st.bcast = st.bcast[:0]
 	for i := range recs {
 		rec := recs[i]
-		typeAnswerAddr(&rec)
+		rec.TypeAnswerAddr()
 		if rec.Addr.IsValid() {
 			n := r.ring.Owner(core.IPHashAddr(rec.Addr))
 			st.dns[n] = append(st.dns[n], rec)
@@ -315,21 +315,6 @@ func (r *Router) OfferDNSBatch(recs []stream.DNSRecord) int {
 	}
 	r.stagePool.Put(st)
 	return accepted
-}
-
-// typeAnswerAddr mirrors the correlator's offer-path normalization: an
-// A/AAAA record whose producer only set the textual answer gets its typed
-// address materialized, so routing keys on the same bytes the worker's
-// fill will.
-func typeAnswerAddr(rec *stream.DNSRecord) {
-	if rec.Addr.IsValid() || rec.Answer == "" {
-		return
-	}
-	if rec.RType == dnswire.TypeA || rec.RType == dnswire.TypeAAAA {
-		if addr, err := netip.ParseAddr(rec.Answer); err == nil {
-			rec.Addr = addr
-		}
-	}
 }
 
 var _ stream.Ingest = (*Router)(nil)

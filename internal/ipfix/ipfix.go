@@ -1,42 +1,36 @@
-// Package ipfix implements an IPFIX (RFC 7011) message codec.
+// Package ipfix is the IPFIX (RFC 7011) dialect of the NetFlow template
+// engine.
 //
 // The paper's introduction names IPFIX alongside NetFlow as the flow
 // protocols ISPs export ("e.g. Netflow [7], IPFIX [2]"), and §3 notes the
 // system "is not bound to NetFlow data and can be adapted to use other
-// data formats containing IP addresses and timestamps". This package is
-// that adaptation for IPFIX: message header, template sets (set ID 2),
-// options template sets (ID 3, accepted and skipped), data sets (ID ≥ 256),
-// enterprise-number field specifiers, variable-length fields (RFC 7011
-// §7), and a template cache scoped per observation domain.
+// data formats containing IP addresses and timestamps". IPFIX is the
+// standardised form of NetFlow v9: templates, the template cache, the set
+// walker and the record codec live in internal/netflow and serve both.
+// This package owns what is IPFIX's own: the 16-byte message header and
+// its length check, the set IDs (template set 2, options template set 3,
+// counted and skipped), enterprise-number field specifiers and
+// variable-length fields (RFC 7011 §7), and its error values.
 //
 // The information elements FlowDNS consumes are the IANA standard ones:
 // sourceIPv4Address(8), destinationIPv4Address(12), sourceIPv6Address(27),
 // destinationIPv6Address(28), sourceTransportPort(7),
 // destinationTransportPort(11), protocolIdentifier(4), octetDeltaCount(1),
-// packetDeltaCount(2), flowStartMilliseconds(152).
+// packetDeltaCount(2), octetTotalCount(85), packetTotalCount(86),
+// flowStartMilliseconds(152).
 package ipfix
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"net/netip"
-	"sync"
-	"time"
 
 	"repro/internal/netflow"
 )
 
 // Wire constants (RFC 7011 §3).
 const (
-	Version            = 10
-	headerLen          = 16
-	setHeaderLen       = 4
-	templateSetID      = 2
-	optionsTemplateSet = 3
-	minDataSetID       = 256
-	// varLen marks a variable-length information element in a template.
-	varLen = 0xFFFF
+	Version   = 10
+	headerLen = 16
 )
 
 // IANA information element IDs used by FlowDNS.
@@ -67,36 +61,42 @@ var (
 	ErrTemplateScope = errors.New("ipfix: template id below 256")
 )
 
-// FieldSpec is one field specifier: an information element, its wire
-// length (0xFFFF = variable), and an optional enterprise number.
-type FieldSpec struct {
-	ID         uint16
-	Length     uint16
-	Enterprise uint32 // 0 = IANA
+// dialect is IPFIX's difference from NetFlow v9 below the header: set IDs
+// 2/3, enterprise numbers and variable-length fields, template sets that
+// may end in padding, and unpadded data sets.
+var dialect = &netflow.Dialect{
+	Name:          "ipfix",
+	TemplateSetID: 2,
+	OptionsSetID:  3,
+	Extended:      true,
+
+	ErrSetLength:     ErrSetLength,
+	ErrSetShort:      ErrSetLength,
+	ErrBadTemplate:   ErrBadTemplate,
+	ErrZeroLenField:  ErrBadTemplate,
+	ErrVarLenOverrun: ErrVarLenOverrun,
 }
 
-// Variable reports whether the field is variable-length.
-func (f FieldSpec) Variable() bool { return f.Length == varLen }
+// FieldSpec is one field specifier: an information element (Type), its
+// wire length (netflow.VarLen = variable), and an enterprise number (0 =
+// IANA).
+type FieldSpec = netflow.TemplateField
 
 // Template is an IPFIX template record.
-type Template struct {
-	ID     uint16
-	Fields []FieldSpec
-}
+type Template = netflow.Template
 
-// fixedLen returns the fixed wire length of a record under t, or -1 when
-// any field is variable-length (records must then be walked field by
-// field).
-func (t *Template) fixedLen() int {
-	n := 0
-	for _, f := range t.Fields {
-		if f.Variable() {
-			return -1
-		}
-		n += int(f.Length)
-	}
-	return n
-}
+// Cache stores templates per (observation domain, template id).
+type Cache = netflow.TemplateCache
+
+// NewCache returns an empty template cache.
+func NewCache() *Cache { return netflow.NewTemplateCache() }
+
+// StandardTemplate is the IPv4 flow template FlowDNS's IPFIX exporters use
+// (template 256): element for element NetFlow v9's standard template.
+func StandardTemplate() Template { return netflow.StandardTemplate() }
+
+// StandardTemplateV6 mirrors StandardTemplate for IPv6 (template 257).
+func StandardTemplateV6() Template { return netflow.StandardTemplateV6() }
 
 // Header is the 16-byte IPFIX message header.
 type Header struct {
@@ -115,159 +115,21 @@ type Message struct {
 	SkippedOptions  int
 }
 
-// Cache stores templates per (observation domain, template id).
-type Cache struct {
-	mu sync.RWMutex
-	m  map[uint64]Template
-}
-
-// NewCache returns an empty template cache.
-func NewCache() *Cache { return &Cache{m: make(map[uint64]Template)} }
-
-// Put stores a template.
-func (c *Cache) Put(domain uint32, t Template) {
-	c.mu.Lock()
-	c.m[uint64(domain)<<16|uint64(t.ID)] = t
-	c.mu.Unlock()
-}
-
-// Get retrieves a template.
-func (c *Cache) Get(domain uint32, id uint16) (Template, bool) {
-	c.mu.RLock()
-	t, ok := c.m[uint64(domain)<<16|uint64(id)]
-	c.mu.RUnlock()
-	return t, ok
-}
-
-// Len returns the number of cached templates.
-func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
-}
-
-// StandardTemplate is the IPv4 flow template FlowDNS's IPFIX exporters use
-// (template 256).
-func StandardTemplate() Template {
-	return Template{
-		ID: 256,
-		Fields: []FieldSpec{
-			{ID: IESourceIPv4Address, Length: 4},
-			{ID: IEDestIPv4Address, Length: 4},
-			{ID: IESourceTransportPort, Length: 2},
-			{ID: IEDestTransportPort, Length: 2},
-			{ID: IEProtocolIdentifier, Length: 1},
-			{ID: IEPacketDeltaCount, Length: 8},
-			{ID: IEOctetDeltaCount, Length: 8},
-			{ID: IEFlowStartMillis, Length: 8},
-		},
-	}
-}
-
-// StandardTemplateV6 mirrors StandardTemplate for IPv6 (template 257).
-func StandardTemplateV6() Template {
-	t := StandardTemplate()
-	t.ID = 257
-	t.Fields[0] = FieldSpec{ID: IESourceIPv6Address, Length: 16}
-	t.Fields[1] = FieldSpec{ID: IEDestIPv6Address, Length: 16}
-	return t
-}
-
 // Encode builds one IPFIX message carrying a template set announcing t and
 // one data set of records encoded under it.
 func Encode(h Header, t Template, records []netflow.FlowRecord) ([]byte, error) {
-	if t.ID < minDataSetID {
+	if t.ID < 256 {
 		return nil, ErrTemplateScope
 	}
-	buf := make([]byte, headerLen)
-
-	// Template set.
-	setStart := len(buf)
-	buf = binary.BigEndian.AppendUint16(buf, templateSetID)
-	buf = binary.BigEndian.AppendUint16(buf, 0) // backfilled
-	buf = binary.BigEndian.AppendUint16(buf, t.ID)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(t.Fields)))
-	for _, f := range t.Fields {
-		id := f.ID
-		if f.Enterprise != 0 {
-			id |= 0x8000
-		}
-		buf = binary.BigEndian.AppendUint16(buf, id)
-		buf = binary.BigEndian.AppendUint16(buf, f.Length)
-		if f.Enterprise != 0 {
-			buf = binary.BigEndian.AppendUint32(buf, f.Enterprise)
-		}
+	buf, err := dialect.AppendSets(make([]byte, headerLen), t, records)
+	if err != nil {
+		return nil, err
 	}
-	binary.BigEndian.PutUint16(buf[setStart+2:], uint16(len(buf)-setStart))
-
-	// Data set.
-	if len(records) > 0 {
-		setStart = len(buf)
-		buf = binary.BigEndian.AppendUint16(buf, t.ID)
-		buf = binary.BigEndian.AppendUint16(buf, 0)
-		for i := range records {
-			var err error
-			buf, err = appendRecord(buf, t, &records[i])
-			if err != nil {
-				return nil, err
-			}
-		}
-		binary.BigEndian.PutUint16(buf[setStart+2:], uint16(len(buf)-setStart))
-	}
-
-	// Header.
 	binary.BigEndian.PutUint16(buf[0:], Version)
 	binary.BigEndian.PutUint16(buf[2:], uint16(len(buf)))
 	binary.BigEndian.PutUint32(buf[4:], h.ExportTime)
 	binary.BigEndian.PutUint32(buf[8:], h.SequenceNumber)
 	binary.BigEndian.PutUint32(buf[12:], h.DomainID)
-	return buf, nil
-}
-
-func appendRecord(buf []byte, t Template, r *netflow.FlowRecord) ([]byte, error) {
-	for _, f := range t.Fields {
-		switch f.ID {
-		case IESourceIPv4Address:
-			if !r.SrcIP.Is4() {
-				return nil, fmt.Errorf("ipfix: template %d needs IPv4 src, have %v", t.ID, r.SrcIP)
-			}
-			a := r.SrcIP.As4()
-			buf = append(buf, a[:]...)
-		case IEDestIPv4Address:
-			if !r.DstIP.Is4() {
-				return nil, fmt.Errorf("ipfix: template %d needs IPv4 dst, have %v", t.ID, r.DstIP)
-			}
-			a := r.DstIP.As4()
-			buf = append(buf, a[:]...)
-		case IESourceIPv6Address:
-			a := r.SrcIP.As16()
-			buf = append(buf, a[:]...)
-		case IEDestIPv6Address:
-			a := r.DstIP.As16()
-			buf = append(buf, a[:]...)
-		case IESourceTransportPort:
-			buf = binary.BigEndian.AppendUint16(buf, r.SrcPort)
-		case IEDestTransportPort:
-			buf = binary.BigEndian.AppendUint16(buf, r.DstPort)
-		case IEProtocolIdentifier:
-			buf = append(buf, r.Proto)
-		case IEPacketDeltaCount:
-			buf = binary.BigEndian.AppendUint64(buf, r.Packets)
-		case IEOctetDeltaCount:
-			buf = binary.BigEndian.AppendUint64(buf, r.Bytes)
-		case IEFlowStartMillis:
-			buf = binary.BigEndian.AppendUint64(buf, uint64(r.Timestamp.UnixMilli()))
-		default:
-			if f.Variable() {
-				// Unknown variable-length elements encode as empty.
-				buf = append(buf, 0)
-				continue
-			}
-			for i := 0; i < int(f.Length); i++ {
-				buf = append(buf, 0)
-			}
-		}
-	}
 	return buf, nil
 }
 
@@ -280,205 +142,19 @@ func Decode(pkt []byte, cache *Cache) (*Message, error) {
 	if binary.BigEndian.Uint16(pkt) != Version {
 		return nil, ErrVersion
 	}
-	m := &Message{Header: Header{
+	h := Header{
 		Length:         binary.BigEndian.Uint16(pkt[2:]),
 		ExportTime:     binary.BigEndian.Uint32(pkt[4:]),
 		SequenceNumber: binary.BigEndian.Uint32(pkt[8:]),
 		DomainID:       binary.BigEndian.Uint32(pkt[12:]),
-	}}
-	if int(m.Header.Length) != len(pkt) {
+	}
+	if int(h.Length) != len(pkt) {
 		return nil, ErrLength
 	}
-	off := headerLen
-	for off+setHeaderLen <= len(pkt) {
-		setID := binary.BigEndian.Uint16(pkt[off:])
-		setLen := int(binary.BigEndian.Uint16(pkt[off+2:]))
-		if setLen < setHeaderLen || off+setLen > len(pkt) {
-			return nil, ErrSetLength
-		}
-		body := pkt[off+setHeaderLen : off+setLen]
-		switch {
-		case setID == templateSetID:
-			if err := decodeTemplateSet(body, m, cache); err != nil {
-				return nil, err
-			}
-		case setID == optionsTemplateSet:
-			m.SkippedOptions++
-		case setID >= minDataSetID:
-			if err := decodeDataSet(setID, body, m, cache); err != nil {
-				return nil, err
-			}
-		}
-		off += setLen
+	s, err := dialect.DecodeSets(pkt[headerLen:], h.DomainID, h.ExportTime, cache)
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
-}
-
-func decodeTemplateSet(body []byte, m *Message, cache *Cache) error {
-	off := 0
-	// Multiple template records per set; trailing padding < 4 bytes allowed.
-	for off+4 <= len(body) {
-		id := binary.BigEndian.Uint16(body[off:])
-		count := int(binary.BigEndian.Uint16(body[off+2:]))
-		off += 4
-		if id == 0 && count == 0 {
-			break // padding
-		}
-		if id < minDataSetID || count == 0 {
-			return ErrBadTemplate
-		}
-		t := Template{ID: id, Fields: make([]FieldSpec, 0, count)}
-		for i := 0; i < count; i++ {
-			if off+4 > len(body) {
-				return ErrBadTemplate
-			}
-			rawID := binary.BigEndian.Uint16(body[off:])
-			length := binary.BigEndian.Uint16(body[off+2:])
-			off += 4
-			fs := FieldSpec{ID: rawID & 0x7FFF, Length: length}
-			if rawID&0x8000 != 0 {
-				if off+4 > len(body) {
-					return ErrBadTemplate
-				}
-				fs.Enterprise = binary.BigEndian.Uint32(body[off:])
-				off += 4
-			}
-			if length == 0 {
-				return ErrBadTemplate
-			}
-			t.Fields = append(t.Fields, fs)
-		}
-		m.Templates = append(m.Templates, t)
-		if cache != nil {
-			cache.Put(m.Header.DomainID, t)
-		}
-	}
-	return nil
-}
-
-func decodeDataSet(setID uint16, body []byte, m *Message, cache *Cache) error {
-	var t Template
-	ok := false
-	if cache != nil {
-		t, ok = cache.Get(m.Header.DomainID, setID)
-	}
-	if !ok {
-		for _, cand := range m.Templates {
-			if cand.ID == setID {
-				t, ok = cand, true
-				break
-			}
-		}
-	}
-	if !ok {
-		m.UnknownDataSets++
-		return nil
-	}
-	fixed := t.fixedLen()
-	hdrTime := time.Unix(int64(m.Header.ExportTime), 0)
-	off := 0
-	for {
-		// RFC 7011 §3.3.1: padding shorter than one record may follow.
-		if fixed > 0 {
-			if off+fixed > len(body) {
-				break
-			}
-		} else if off >= len(body) {
-			break
-		}
-		rec, n, err := decodeRecord(body[off:], t)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			break
-		}
-		if rec.Timestamp.IsZero() {
-			rec.Timestamp = hdrTime
-		}
-		m.Records = append(m.Records, rec)
-		off += n
-		if fixed < 0 && len(body)-off < 4 {
-			// variable-length records: stop at sub-record-header padding
-			break
-		}
-	}
-	return nil
-}
-
-func decodeRecord(b []byte, t Template) (netflow.FlowRecord, int, error) {
-	var r netflow.FlowRecord
-	off := 0
-	for _, f := range t.Fields {
-		length := int(f.Length)
-		if f.Variable() {
-			if off >= len(b) {
-				return r, 0, ErrVarLenOverrun
-			}
-			length = int(b[off])
-			off++
-			if length == 255 {
-				if off+2 > len(b) {
-					return r, 0, ErrVarLenOverrun
-				}
-				length = int(binary.BigEndian.Uint16(b[off:]))
-				off += 2
-			}
-		}
-		if off+length > len(b) {
-			return r, 0, ErrVarLenOverrun
-		}
-		v := b[off : off+length]
-		if f.Enterprise == 0 {
-			applyField(&r, f.ID, v)
-		}
-		off += length
-	}
-	return r, off, nil
-}
-
-func applyField(r *netflow.FlowRecord, id uint16, v []byte) {
-	switch id {
-	case IESourceIPv4Address:
-		if len(v) == 4 {
-			r.SrcIP = netip.AddrFrom4([4]byte(v))
-		}
-	case IEDestIPv4Address:
-		if len(v) == 4 {
-			r.DstIP = netip.AddrFrom4([4]byte(v))
-		}
-	case IESourceIPv6Address:
-		if len(v) == 16 {
-			r.SrcIP = netip.AddrFrom16([16]byte(v))
-		}
-	case IEDestIPv6Address:
-		if len(v) == 16 {
-			r.DstIP = netip.AddrFrom16([16]byte(v))
-		}
-	case IESourceTransportPort:
-		r.SrcPort = uint16(beUint(v))
-	case IEDestTransportPort:
-		r.DstPort = uint16(beUint(v))
-	case IEProtocolIdentifier:
-		r.Proto = uint8(beUint(v))
-	case IEPacketDeltaCount:
-		r.Packets = beUint(v)
-	case IEOctetDeltaCount:
-		r.Bytes = beUint(v)
-	case IEFlowStartMillis:
-		if ms := beUint(v); ms != 0 {
-			r.Timestamp = time.UnixMilli(int64(ms))
-		}
-	}
-}
-
-func beUint(b []byte) uint64 {
-	if len(b) > 8 {
-		b = b[len(b)-8:]
-	}
-	var n uint64
-	for _, c := range b {
-		n = n<<8 | uint64(c)
-	}
-	return n
+	return &Message{Header: h, Templates: s.Templates, Records: s.Records,
+		UnknownDataSets: s.UnknownDataSets, SkippedOptions: s.SkippedOptions}, nil
 }

@@ -127,9 +127,9 @@ func TestEnterpriseFieldSkipped(t *testing.T) {
 	tmpl := Template{
 		ID: 300,
 		Fields: []FieldSpec{
-			{ID: IESourceIPv4Address, Length: 4},
-			{ID: 77, Length: 4, Enterprise: 29305},
-			{ID: IEOctetDeltaCount, Length: 8},
+			{Type: IESourceIPv4Address, Length: 4},
+			{Type: 77, Length: 4, Enterprise: 29305},
+			{Type: IEOctetDeltaCount, Length: 8},
 		},
 	}
 	fr := netflow.FlowRecord{
@@ -161,9 +161,9 @@ func TestVariableLengthField(t *testing.T) {
 	tmpl := Template{
 		ID: 301,
 		Fields: []FieldSpec{
-			{ID: IESourceIPv4Address, Length: 4},
-			{ID: IEInterfaceName, Length: varLen},
-			{ID: IEOctetDeltaCount, Length: 8},
+			{Type: IESourceIPv4Address, Length: 4},
+			{Type: IEInterfaceName, Length: netflow.VarLen},
+			{Type: IEOctetDeltaCount, Length: 8},
 		},
 	}
 	// Hand-encode one record: src, varlen "eth0", bytes.
@@ -210,17 +210,46 @@ func TestVariableLengthLongForm(t *testing.T) {
 	rec = append(rec, 255, 0x01, 0x04) // 260 bytes follow
 	rec = append(rec, make([]byte, 260)...)
 	rec = binary.BigEndian.AppendUint64(rec, 55)
-	tmpl := Template{ID: 302, Fields: []FieldSpec{
-		{ID: IESourceIPv4Address, Length: 4},
-		{ID: IEApplicationName, Length: varLen},
-		{ID: IEOctetDeltaCount, Length: 8},
-	}}
-	got, n, err := decodeRecord(rec, tmpl)
+	pkt := make([]byte, 16)
+	pkt = append(pkt, 0, 2, 0, 20, 1, 46, 0, 3) // template set, template 302
+	pkt = append(pkt, 0, IESourceIPv4Address, 0, 4)
+	pkt = append(pkt, 0, IEApplicationName, 0xFF, 0xFF)
+	pkt = append(pkt, 0, IEOctetDeltaCount, 0, 8)
+	pkt = binary.BigEndian.AppendUint16(pkt, 302)
+	pkt = binary.BigEndian.AppendUint16(pkt, uint16(4+len(rec)))
+	pkt = append(pkt, rec...)
+	binary.BigEndian.PutUint16(pkt[0:], Version)
+	binary.BigEndian.PutUint16(pkt[2:], uint16(len(pkt)))
+	m, err := Decode(pkt, NewCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(rec) || got.Bytes != 55 {
-		t.Fatalf("n=%d rec=%+v", n, got)
+	if len(m.Records) != 1 || m.Records[0].Bytes != 55 {
+		t.Fatalf("records = %+v", m.Records)
+	}
+}
+
+// TestTotalCountElements pins that octetTotalCount(85) and
+// packetTotalCount(86) fill Bytes and Packets, as they do in NetFlow v9:
+// both dialects read through one field table.
+func TestTotalCountElements(t *testing.T) {
+	pkt := make([]byte, 16)
+	pkt = append(pkt, 0, 2, 0, 20, 1, 47, 0, 3) // template set, template 303
+	pkt = append(pkt, 0, IESourceIPv4Address, 0, 4)
+	pkt = append(pkt, 0, netflow.FieldTotalBytes, 0, 8)
+	pkt = append(pkt, 0, netflow.FieldTotalPkts, 0, 4)
+	pkt = append(pkt, 1, 47, 0, 4+16)
+	pkt = append(pkt, 10, 0, 0, 1)
+	pkt = binary.BigEndian.AppendUint64(pkt, 123456)
+	pkt = binary.BigEndian.AppendUint32(pkt, 99)
+	binary.BigEndian.PutUint16(pkt[0:], Version)
+	binary.BigEndian.PutUint16(pkt[2:], uint16(len(pkt)))
+	m, err := Decode(pkt, NewCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Records) != 1 || m.Records[0].Bytes != 123456 || m.Records[0].Packets != 99 {
+		t.Fatalf("records = %+v, want Bytes 123456 Packets 99", m.Records)
 	}
 }
 

@@ -1,4 +1,5 @@
-// Package netflow implements NetFlow v5 and v9 wire codecs.
+// Package netflow implements the NetFlow v5 and v9 wire codecs and the
+// template engine IPFIX shares with v9.
 //
 // FlowDNS consumes "Netflow records captured at the network ingress
 // interfaces" (paper §2); each record carries at least srcIP, dstIP, a
@@ -6,9 +7,13 @@
 //
 //   - a complete NetFlow v5 encoder/decoder (fixed 24-byte header,
 //     48-byte records, RFC-less but ubiquitous Cisco format);
-//   - a NetFlow v9 (RFC 3954) encoder/decoder with template FlowSets, data
-//     FlowSets, and a per-exporter template cache, the format actually
-//     exported by ISP-grade routers;
+//   - the template engine NetFlow v9 (RFC 3954) and IPFIX (RFC 7011)
+//     share: template records, a per-exporter template cache, the
+//     template-set parser and data-set walker, one field table and one
+//     record encoder, with a Dialect describing where the two differ;
+//   - the NetFlow v9 dialect over that engine (EncodeV9, AppendV9,
+//     DecodeV9), the format actually exported by ISP-grade routers;
+//     internal/ipfix holds the IPFIX one;
 //   - the neutral FlowRecord type the correlator consumes, so that — as the
 //     paper notes — "the system is not bound to NetFlow data and can be
 //     adapted to use other data formats containing IP addresses and

@@ -65,6 +65,23 @@ func (r *DNSRecord) IsValid() bool {
 	}
 }
 
+// TypeAnswerAddr materializes the typed address of a string-only A/AAAA
+// record in place: one parse at offer time instead of one per ingest.
+// The correlator's fill lanes and the cluster router both key on the
+// typed address, so calling this before either makes records for the same
+// IP route alike no matter which producer built them. Unparsable answers
+// are left as-is (the §3.2 filter rejects them at ingest).
+func (r *DNSRecord) TypeAnswerAddr() {
+	if r.Addr.IsValid() || r.Answer == "" {
+		return
+	}
+	if r.RType == dnswire.TypeA || r.RType == dnswire.TypeAAAA {
+		if addr, err := netip.ParseAddr(r.Answer); err == nil {
+			r.Addr = addr
+		}
+	}
+}
+
 // AnswerString returns the answer's presentation form: the Answer string
 // when present, otherwise the typed address formatted. Only the offline
 // writers (capture persistence) use this; the live fill path never needs

@@ -79,11 +79,10 @@ type FlowUDPSource struct {
 	// forces the single-read loop. Set before Run.
 	BatchSize int
 
-	// Per-source decode scratch, reused across datagrams: the single-read
-	// path's decoded records and the batch-mode record accumulator. The
-	// ingest façade copies offered records into the stage queue, so both
-	// are free for reuse the moment an offer returns.
-	v5recs  []netflow.FlowRecord
+	// Per-source decode scratch, reused across datagrams: the record
+	// accumulator both read loops decode into. The ingest façade copies
+	// offered records into the stage queue, so it is free for reuse the
+	// moment an offer returns.
 	batch   []netflow.FlowRecord
 	singleB []byte // single-read mode datagram buffer
 
@@ -181,14 +180,13 @@ func (s *FlowUDPSource) runSingle(ctx context.Context, in Ingest) error {
 // ingest decodes one datagram and offers its records as one batch; split
 // out so tests and in-process pipelines can bypass the socket.
 func (s *FlowUDPSource) ingest(pkt []byte, in Ingest) {
-	s.offer(s.decode(pkt), in)
+	s.batch = s.appendDecode(s.batch[:0], pkt)
+	s.offer(s.batch, in)
 }
 
 // appendDecode parses one datagram and appends its records to dst,
-// returning the extended slice — the batch path's form, writing straight
-// into the batch accumulator instead of staging records in per-format
-// scratch first (one ~100-byte record copy saved per record, which is
-// measurable at line rate). A malformed datagram counts one decode error
+// returning the extended slice, so both read loops write straight into
+// the record accumulator. A malformed datagram counts one decode error
 // and appends nothing.
 func (s *FlowUDPSource) appendDecode(dst []netflow.FlowRecord, pkt []byte) []netflow.FlowRecord {
 	if len(pkt) < 2 {
@@ -221,46 +219,6 @@ func (s *FlowUDPSource) appendDecode(dst []netflow.FlowRecord, pkt []byte) []net
 	default:
 		s.counts.decodeError.Add(1)
 		return dst
-	}
-}
-
-// decode parses one datagram into flow records. The returned slice is
-// owned by the source's scratch (v5) or by the per-packet decoder output
-// (v9/IPFIX) and is valid until the next decode call; callers must offer
-// or copy it before decoding again. A malformed datagram counts one decode
-// error and returns an empty slice.
-func (s *FlowUDPSource) decode(pkt []byte) []netflow.FlowRecord {
-	if len(pkt) < 2 {
-		s.counts.decodeError.Add(1)
-		return nil
-	}
-	version := uint16(pkt[0])<<8 | uint16(pkt[1])
-	switch version {
-	case 5:
-		recs, err := netflow.AppendV5Flows(pkt, s.v5recs[:0])
-		if err != nil {
-			s.counts.decodeError.Add(1)
-			return nil
-		}
-		s.v5recs = recs
-		return recs
-	case 9:
-		p, err := netflow.DecodeV9(pkt, s.cache)
-		if err != nil {
-			s.counts.decodeError.Add(1)
-			return nil
-		}
-		return p.Records
-	case 10:
-		m, err := ipfix.Decode(pkt, s.ipfixCache)
-		if err != nil {
-			s.counts.decodeError.Add(1)
-			return nil
-		}
-		return m.Records
-	default:
-		s.counts.decodeError.Add(1)
-		return nil
 	}
 }
 
