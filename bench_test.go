@@ -21,6 +21,7 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,10 +230,14 @@ func BenchmarkPipelineBatchedWrites(b *testing.B) {
 			// has written everything, so the measurement is true
 			// ingest-to-sink throughput, not queue-offer cost.
 			var offered uint64
+			// Every flow shares DstIP 10.0.0.1 and so lands on one lane,
+			// which holds only its 1/Lanes() share of LookQueueCap: throttle
+			// on the deepest lane, not on the stage's total depth.
+			laneHalf := cfg.LookQueueCap / c.Lanes() / 2
 			for i := 0; i < b.N; i += 512 {
 				for {
-					_, look, write := c.QueueDepths()
-					if look < cfg.LookQueueCap/2 && write < cfg.WriteQueueCap/2 {
+					_, _, write := c.QueueDepths()
+					if slices.Max(c.LaneDepths()) < laneHalf && write < cfg.WriteQueueCap/2 {
 						break
 					}
 					time.Sleep(10 * time.Microsecond)

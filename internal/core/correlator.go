@@ -53,8 +53,9 @@ type flowEntry struct {
 }
 
 // ingestBatchSize bounds how many records a FillUp/LookUp worker drains per
-// queue round trip; batching here cuts per-record channel overhead without
-// adding latency (workers never wait for a batch to fill).
+// queue round trip (one lock acquisition however many it takes), so the
+// queue cost is paid per batch without adding latency (workers never wait
+// for a batch to fill).
 const ingestBatchSize = 128
 
 // Option configures optional Correlator behaviour at construction.

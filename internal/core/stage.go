@@ -15,14 +15,16 @@ import (
 //
 // A stage is sharded into lanes, each an independent queue with its own
 // workers, so records the caller partitions onto different lanes never
-// contend on one queue. The stage's configured capacity is the total
-// buffer, divided evenly across lanes (minimum 1 each): the memory
-// footprint and the configured loss bound do not scale with the lane
-// count. The flip side is that a burst onto one hot lane only gets that
-// lane's share — raise the capacity (and watch depths) for skewed traffic.
-// Every lane measures its own fill against the same sampler watermarks, so
-// a single hot lane starts shedding without waiting for the whole stage to
-// drown.
+// contend on one queue. A lane queue moves whole batches: one offer and one
+// take each cost a single lock round trip however many records they carry,
+// so the stages hand records on in the batches their producers built. The
+// stage's configured capacity is the total buffer, divided evenly across
+// lanes (minimum 1 each): the memory footprint and the configured loss
+// bound do not scale with the lane count. The flip side is that a burst
+// onto one hot lane only gets that lane's share — raise the capacity (and
+// watch depths) for skewed traffic. Every lane measures its own fill
+// against the same sampler watermarks, so a single hot lane starts
+// shedding without waiting for the whole stage to drown.
 type stage[T any] struct {
 	comp    string // supervised component the workers' panics count against
 	sup     *supervisor
@@ -52,9 +54,10 @@ func newStage[T any](comp string, sup *supervisor, lanes, capacity, workers int,
 // to p.lane[l] for the lane l it routes to, then hands p to offer.
 func (s *stage[T]) partition() *partition[T] { return s.parts.Get().(*partition[T]) }
 
-// offer enqueues every staged record on its lane without blocking —
-// overflow and sampler shed are counted by the lane's queue — recycles p,
-// and returns how many records the stage took responsibility for.
+// offer enqueues every staged record on its lane without blocking, one
+// OfferBatch per non-empty lane — overflow and sampler shed are counted by
+// the lane's queue — recycles p, and returns how many records the stage
+// took responsibility for.
 func (s *stage[T]) offer(p *partition[T]) int {
 	accepted := 0
 	for l, items := range p.lane {
@@ -88,8 +91,10 @@ func (s *stage[T]) workersOn(l int) int {
 // against, and returns that worker's batch body — a closure over whatever
 // private scratch the worker keeps between batches. A worker takes up to
 // max records per queue round trip (lingering up to linger for a partial
-// batch to fill; 0 never waits past the first record), so the body's
-// clock reads, stats flushes and lock traffic amortize per batch. Workers
+// batch to fill; 0 never waits past the first record), so the queue lock,
+// the body's clock reads and its stats flushes amortize per batch. Several
+// workers on one lane share its doorbell: a worker parks only while the
+// lane is empty, and one that leaves records behind wakes the next. Workers
 // run supervised: a panic escaping the body is counted and the loop
 // restarted with backoff; the loop ends when the lane is closed and empty.
 func (s *stage[T]) start(max int, linger time.Duration, newWorker func(lane int, h *compHealth) func(batch []T)) {

@@ -8,6 +8,18 @@
 // (paper §2). The evaluation's headline loss metric (≤0.01 % for Main, >90 %
 // for the exact-TTL anti-benchmark) is exactly the drop rate these queues
 // record, so the implementation keeps precise atomic counters.
+//
+// A Queue is a fixed ring buffer under one mutex that moves whole batches:
+// OfferBatch and PutBatch copy a batch in, and TakeBatch copies up to max
+// records out, each under a single lock acquisition, so a record costs a
+// copy rather than a synchronized channel operation. Consumers park on a
+// one-slot doorbell channel only when the ring is empty (or while lingering
+// for stragglers). A producer rings the doorbell only while some consumer is
+// parked, and a consumer that leaves records behind — or finds the queue
+// closed — rings it again, so any number of consumers on one queue share a
+// single doorbell without losing a wakeup, and one ring from Close reaches
+// them all. A PutBatch waiting for space waits on a condition variable that
+// consumers signal as they free slots.
 package queue
 
 import (
@@ -84,66 +96,140 @@ func (c SamplerConfig) rate(fill float64) float64 {
 	return c.MaxShed * (fill - c.LowWater) / (c.HighWater - c.LowWater)
 }
 
-// Queue is a bounded FIFO of values of type T. Producers never block: when
-// the buffer is full, Offer drops the record and increments the drop
-// counter, mirroring the stream-buffer semantics of the paper's data feeds.
-// Consumers block on Take until a record arrives or the queue is closed.
+// Queue is a bounded FIFO of values of type T. Producers never block on
+// Offer/OfferBatch: when the buffer is full the record is dropped and the
+// drop counter incremented, mirroring the stream-buffer semantics of the
+// paper's data feeds. PutBatch is the blocking, lossless form for
+// inter-stage handoffs. Consumers block in TakeBatch until a record arrives
+// or the queue is closed and drained.
 type Queue[T any] struct {
-	ch       chan T
+	mu      sync.Mutex
+	ring    []T // fixed capacity; records sit at ring[head:head+n], wrapping
+	head    int
+	n       int       // records buffered
+	closed  bool      // set once by Close; producers count later records as dropped
+	parked  int       // consumers between releasing mu and waking from bell
+	putters int       // PutBatch calls waiting on space
+	space   sync.Cond // on mu; broadcast by pop while putters > 0, and by Close
+
+	// bell is the one-slot doorbell parked consumers wait on.
+	bell chan struct{}
+
+	size     atomic.Int64 // copy of n for Len/Fill without the lock
 	enqueued atomic.Uint64
 	dropped  atomic.Uint64
 	sampled  atomic.Uint64
 	dequeued atomic.Uint64
 
 	// sampler is the adaptive shed config; the zero value disables it. Set
-	// once via SetSampler before producers start — it is read without
-	// synchronization on the offer path.
+	// once via SetSampler before producers start.
 	sampler SamplerConfig
-	// shedAcc accumulates fixed-point shed credit (shedScale per record);
-	// each crossing of a shedScale boundary sheds one record, making the
-	// long-run shed proportion exact under any interleaving of producers.
-	shedAcc atomic.Uint64
-
-	// mu coordinates producers with Close: a send on a closed channel
-	// panics even inside a select, so Close takes the write side while
-	// producers hold the read side.
-	mu        sync.RWMutex
-	closed    bool
-	closeOnce sync.Once
+	// shedAcc, guarded by mu, accumulates fixed-point shed credit
+	// (shedScale per record); each crossing of a shedScale boundary sheds
+	// one record, making the long-run shed proportion exact under any
+	// interleaving of producers.
+	shedAcc uint64
 }
 
-// New returns a queue with the given buffer capacity (minimum 1).
+// New returns a queue with the given buffer capacity (minimum 1). The ring
+// is allocated up front, at its full capacity.
 func New[T any](capacity int) *Queue[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Queue[T]{ch: make(chan T, capacity)}
+	q := &Queue[T]{
+		ring: make([]T, capacity),
+		bell: make(chan struct{}, 1),
+	}
+	q.space.L = &q.mu
+	return q
 }
 
 // SetSampler installs an adaptive sampler on the queue. Call before any
-// producer offers; the config is read lock-free on the offer path.
+// producer offers.
 func (q *Queue[T]) SetSampler(c SamplerConfig) { q.sampler = c }
 
 // Sampler returns the installed sampler config (zero when disabled).
 func (q *Queue[T]) Sampler() SamplerConfig { return q.sampler }
 
 // planShed decides how many of the next n offered records the sampler
-// sheds, based on the current buffer fill. The fixed-point credit
-// accumulator makes the decision deterministic: over any run the shed
-// count is exactly floor(sum of rate·n) regardless of batch sizes or
-// producer interleaving. Returns 0 when sampling is disabled (one branch
-// on the hot path).
+// sheds, based on the current buffer fill, and counts them as Sampled.
+// The fixed-point credit accumulator makes the decision deterministic:
+// over any run the shed count is exactly floor(sum of rate·n) regardless
+// of batch sizes or producer interleaving. Returns 0 when sampling is
+// disabled (one branch on the hot path). Callers hold mu.
 func (q *Queue[T]) planShed(n int) int {
 	if !q.sampler.Enabled() {
 		return 0
 	}
-	rate := q.sampler.rate(float64(len(q.ch)) / float64(cap(q.ch)))
+	rate := q.sampler.rate(float64(q.n) / float64(len(q.ring)))
 	if rate <= 0 {
 		return 0
 	}
 	credit := uint64(rate * shedScale)
-	now := q.shedAcc.Add(uint64(n) * credit)
-	return int(now/shedScale - (now-uint64(n)*credit)/shedScale)
+	before := q.shedAcc
+	q.shedAcc += uint64(n) * credit
+	shed := int(q.shedAcc/shedScale - before/shedScale)
+	if shed > 0 {
+		q.sampled.Add(uint64(shed))
+	}
+	return shed
+}
+
+// push copies as much of vs as fits into the ring and returns how many
+// records it took. Callers hold mu.
+func (q *Queue[T]) push(vs []T) int {
+	k := min(len(vs), len(q.ring)-q.n)
+	if k == 0 {
+		return 0
+	}
+	tail := q.head + q.n
+	if tail >= len(q.ring) {
+		tail -= len(q.ring)
+	}
+	c := copy(q.ring[tail:], vs[:k])
+	copy(q.ring, vs[c:k])
+	q.n += k
+	q.size.Store(int64(q.n))
+	return k
+}
+
+// pop appends up to max buffered records to buf in FIFO order, zeroing
+// the slots it vacates so the ring keeps no references alive, and wakes
+// any PutBatch waiting for space. Callers hold mu.
+func (q *Queue[T]) pop(buf []T, max int) []T {
+	k := min(max, q.n)
+	if k <= 0 {
+		return buf
+	}
+	end := q.head + k
+	if end > len(q.ring) {
+		buf = append(buf, q.ring[q.head:]...)
+		clear(q.ring[q.head:])
+		end -= len(q.ring)
+		q.head = 0
+	}
+	buf = append(buf, q.ring[q.head:end]...)
+	clear(q.ring[q.head:end])
+	q.head = end
+	if q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n -= k
+	q.size.Store(int64(q.n))
+	if q.putters > 0 {
+		q.space.Broadcast()
+	}
+	return buf
+}
+
+// wake rings the doorbell for one parked consumer; if it already holds a
+// token, that token wakes one just the same.
+func (q *Queue[T]) wake() {
+	select {
+	case q.bell <- struct{}{}:
+	default:
+	}
 }
 
 // Offer attempts a non-blocking enqueue. It reports whether the queue took
@@ -157,61 +243,63 @@ func (q *Queue[T]) planShed(n int) int {
 // overflow as their own drops, and the deliberate shed stays accounted in
 // exactly one place — the queue.
 func (q *Queue[T]) Offer(v T) bool {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	if q.closed {
-		q.dropped.Add(1)
-		return false
-	}
-	if q.planShed(1) > 0 {
-		q.sampled.Add(1)
-		return true
-	}
-	select {
-	case q.ch <- v:
-		q.enqueued.Add(1)
-		return true
-	default:
-		q.dropped.Add(1)
-		return false
-	}
+	return q.OfferBatch([]T{v}) == 1
 }
 
 // OfferBatch attempts a non-blocking enqueue of every record in vs and
 // returns the number the queue took responsibility for. Records that do
 // not fit are dropped and counted as loss, exactly as with per-record
-// Offer, but the counter updates are amortized to a few atomic adds per
-// call — the hot-path batching the LookUp→Write handoff relies on.
+// Offer; the whole batch is copied in under one lock acquisition.
 //
 // With a sampler installed, the shed quota for the batch is taken off the
 // front (batch order carries no meaning within one datagram) and those
 // records count toward the return value as Sampled, not Dropped — so a
 // producer's "offered − accepted" arithmetic keeps measuring accidental
 // overflow only.
-func (q *Queue[T]) OfferBatch(vs []T) int {
+func (q *Queue[T]) OfferBatch(vs []T) int { return q.enqueue(vs, false) }
+
+// PutBatch enqueues every record in vs, blocking for space as needed, and
+// returns the number the queue took responsibility for (with a sampler
+// installed that includes records shed into Stats.Sampled, same as
+// OfferBatch). It is the backpressure form of OfferBatch: inter-stage
+// handoffs use it so that records already accepted into the pipeline are
+// never dropped between stages — loss is accounted only at the intake
+// queues, as with the paper's stream buffers. A batch larger than the free
+// space goes in in chunks as consumers drain. PutBatch requires consumers
+// to be draining the queue until Close; records it has not yet placed when
+// Close lands (or the whole batch, after Close) count as dropped.
+func (q *Queue[T]) PutBatch(vs []T) int { return q.enqueue(vs, true) }
+
+// enqueue is OfferBatch (block false: what does not fit is dropped) and
+// PutBatch (block true: wait for space until every record is in).
+func (q *Queue[T]) enqueue(vs []T, block bool) int {
 	if len(vs) == 0 {
 		return 0
 	}
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	if q.closed {
-		q.dropped.Add(uint64(len(vs)))
-		return 0
+	q.mu.Lock()
+	shed := 0
+	if !q.closed {
+		shed = q.planShed(len(vs))
 	}
-	shed := q.planShed(len(vs))
-	if shed > 0 {
-		q.sampled.Add(uint64(shed))
-		vs = vs[shed:]
-	}
+	vs = vs[shed:]
 	accepted := 0
-	for i := range vs {
-		select {
-		case q.ch <- vs[i]:
-			accepted++
-		default:
-			// Buffer full right now; a consumer may free a slot before the
-			// next record, so keep trying the remaining ones.
+	for !q.closed {
+		accepted += q.push(vs[accepted:])
+		if accepted == len(vs) || !block {
+			break
 		}
+		// The ring is full: make sure a consumer is draining it, then wait.
+		if q.parked > 0 {
+			q.wake()
+		}
+		q.putters++
+		q.space.Wait()
+		q.putters--
+	}
+	notify := accepted > 0 && q.parked > 0
+	q.mu.Unlock()
+	if notify {
+		q.wake()
 	}
 	if accepted > 0 {
 		q.enqueued.Add(uint64(accepted))
@@ -222,155 +310,81 @@ func (q *Queue[T]) OfferBatch(vs []T) int {
 	return accepted + shed
 }
 
-// Put enqueues v, blocking until space is available. Used by offline replays
-// where back-pressure, not loss, is the desired behaviour. Put holds the
-// queue open against Close for its duration; do not Close a queue while a
-// Put may be blocked forever (no consumers), and do not Put after Close —
-// that Put counts as a drop.
-func (q *Queue[T]) Put(v T) {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	if q.closed {
-		q.dropped.Add(1)
-		return
-	}
-	if q.planShed(1) > 0 {
-		q.sampled.Add(1)
-		return
-	}
-	q.ch <- v
-	q.enqueued.Add(1)
-}
-
-// PutBatch enqueues every record in vs, blocking for space as needed, and
-// returns the number the queue took responsibility for (with a sampler
-// installed that includes records shed into Stats.Sampled, same as
-// OfferBatch). It is the backpressure form of OfferBatch:
-// inter-stage handoffs use it so that records already accepted into the
-// pipeline are never dropped between stages — loss is accounted only at the
-// intake queues, as with the paper's stream buffers. Like Put, it must not
-// be called after Close (the whole batch then counts as dropped) and
-// requires consumers to be draining the queue until Close.
-func (q *Queue[T]) PutBatch(vs []T) int {
-	if len(vs) == 0 {
-		return 0
-	}
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	if q.closed {
-		q.dropped.Add(uint64(len(vs)))
-		return 0
-	}
-	shed := q.planShed(len(vs))
-	if shed > 0 {
-		q.sampled.Add(uint64(shed))
-		vs = vs[shed:]
-	}
-	for i := range vs {
-		q.ch <- vs[i]
-	}
-	if len(vs) > 0 {
-		q.enqueued.Add(uint64(len(vs)))
-	}
-	return len(vs) + shed
-}
-
-// Take dequeues the next record, blocking until one is available. ok is
-// false when the queue has been closed and drained.
-func (q *Queue[T]) Take() (v T, ok bool) {
-	v, ok = <-q.ch
-	if ok {
-		q.dequeued.Add(1)
-	}
-	return v, ok
-}
-
 // TakeBatch appends up to max records to buf and returns the extended
 // slice. It blocks until at least one record is available (or the queue is
 // closed and drained — the only case reporting ok == false). Having taken
-// one record it keeps appending records that are immediately available;
-// when fewer than max arrived and wait > 0, it lingers up to wait for
-// stragglers so consumers see larger batches under moderate load at a
-// bounded latency cost. wait <= 0 never waits beyond the first record.
+// what is buffered, when fewer than max arrived and wait > 0 it lingers up
+// to wait for stragglers, so consumers see larger batches under moderate
+// load at a bounded latency cost; the linger timer exists only while it
+// lingers. wait <= 0 never waits beyond the first record, and a closed
+// queue is never lingered on.
 func (q *Queue[T]) TakeBatch(buf []T, max int, wait time.Duration) ([]T, bool) {
 	if max < 1 {
 		max = 1
 	}
-	v, ok := <-q.ch
-	if !ok {
-		return buf, false
-	}
-	buf = append(buf, v)
-	taken := 1
-	if wait <= 0 {
-		for taken < max {
+	start := len(buf)
+	var timer *time.Timer
+	expired := false
+	q.mu.Lock()
+	for {
+		buf = q.pop(buf, start+max-len(buf))
+		got := len(buf) - start
+		if got == max || q.closed || expired || (got > 0 && wait <= 0) {
+			break
+		}
+		q.parked++
+		q.mu.Unlock()
+		if got == 0 {
+			<-q.bell
+		} else {
+			if timer == nil {
+				timer = time.NewTimer(wait)
+			}
 			select {
-			case v, ok := <-q.ch:
-				if !ok {
-					q.dequeued.Add(uint64(taken))
-					return buf, true
-				}
-				buf = append(buf, v)
-				taken++
-			default:
-				q.dequeued.Add(uint64(taken))
-				return buf, true
+			case <-q.bell:
+			case <-timer.C:
+				expired = true
 			}
 		}
-		q.dequeued.Add(uint64(taken))
-		return buf, true
+		q.mu.Lock()
+		q.parked--
 	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for taken < max {
-		select {
-		case v, ok := <-q.ch:
-			if !ok {
-				q.dequeued.Add(uint64(taken))
-				return buf, true
-			}
-			buf = append(buf, v)
-			taken++
-		case <-timer.C:
-			q.dequeued.Add(uint64(taken))
-			return buf, true
-		}
+	// Records left behind, or the close, concern the other parked
+	// consumers too: pass the wake on.
+	if (q.n > 0 || q.closed) && q.parked > 0 {
+		q.wake()
+	}
+	q.mu.Unlock()
+	if timer != nil {
+		timer.Stop()
+	}
+	taken := len(buf) - start
+	if taken == 0 {
+		return buf, false
 	}
 	q.dequeued.Add(uint64(taken))
 	return buf, true
 }
 
-// TryTake dequeues without blocking. ok is false if the queue is empty (or
-// closed and drained).
-func (q *Queue[T]) TryTake() (v T, ok bool) {
-	select {
-	case v, ok = <-q.ch:
-		if ok {
-			q.dequeued.Add(1)
-		}
-		return v, ok
-	default:
-		var zero T
-		return zero, false
+// Close marks the queue as complete: later offers count as dropped, and
+// consumers drain the remaining records and then observe ok == false.
+// Close is idempotent.
+func (q *Queue[T]) Close() {
+	q.mu.Lock()
+	q.closed = true
+	q.space.Broadcast()
+	notify := q.parked > 0
+	q.mu.Unlock()
+	if notify {
+		q.wake()
 	}
 }
 
-// Close marks the queue as complete. Consumers drain remaining records and
-// then observe ok == false. Close is idempotent.
-func (q *Queue[T]) Close() {
-	q.closeOnce.Do(func() {
-		q.mu.Lock()
-		q.closed = true
-		q.mu.Unlock()
-		close(q.ch)
-	})
-}
-
 // Len returns the number of buffered records.
-func (q *Queue[T]) Len() int { return len(q.ch) }
+func (q *Queue[T]) Len() int { return int(q.size.Load()) }
 
 // Cap returns the buffer capacity.
-func (q *Queue[T]) Cap() int { return cap(q.ch) }
+func (q *Queue[T]) Cap() int { return len(q.ring) }
 
 // Stats returns a snapshot of the counters.
 func (q *Queue[T]) Stats() Stats {
@@ -386,5 +400,5 @@ func (q *Queue[T]) Stats() Stats {
 // is "to keep the buffer usage stable to avoid any loss"; monitoring uses
 // this.
 func (q *Queue[T]) Fill() float64 {
-	return float64(len(q.ch)) / float64(cap(q.ch))
+	return float64(q.Len()) / float64(len(q.ring))
 }

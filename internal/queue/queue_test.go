@@ -1,24 +1,50 @@
 package queue
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
+// take dequeues one record, blocking like TakeBatch.
+func take[T any](q *Queue[T]) (v T, ok bool) {
+	var one [1]T
+	buf, ok := q.TakeBatch(one[:0], 1, 0)
+	if ok {
+		v = buf[0]
+	}
+	return v, ok
+}
+
+// parkedNow reads how many consumers are parked on the doorbell.
+func (q *Queue[T]) parkedNow() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.parked
+}
+
+// waitParked returns once n consumers are parked on q: the event a test
+// waits for instead of sleeping until a consumer has probably blocked.
+func waitParked[T any](q *Queue[T], n int) {
+	for q.parkedNow() < n {
+		runtime.Gosched()
+	}
+}
+
 func TestOfferTake(t *testing.T) {
 	q := New[int](4)
 	if !q.Offer(1) || !q.Offer(2) {
 		t.Fatal("Offer failed with space available")
 	}
-	v, ok := q.Take()
+	v, ok := take(q)
 	if !ok || v != 1 {
-		t.Fatalf("Take = %d,%v; want 1,true", v, ok)
+		t.Fatalf("take = %d,%v; want 1,true", v, ok)
 	}
-	v, ok = q.Take()
+	v, ok = take(q)
 	if !ok || v != 2 {
-		t.Fatalf("Take = %d,%v; want 2,true", v, ok)
+		t.Fatalf("take = %d,%v; want 2,true", v, ok)
 	}
 }
 
@@ -38,18 +64,6 @@ func TestOfferDropsWhenFull(t *testing.T) {
 	}
 }
 
-func TestTryTakeEmpty(t *testing.T) {
-	q := New[string](1)
-	if _, ok := q.TryTake(); ok {
-		t.Fatal("TryTake on empty queue returned ok")
-	}
-	q.Offer("x")
-	v, ok := q.TryTake()
-	if !ok || v != "x" {
-		t.Fatalf("TryTake = %q,%v", v, ok)
-	}
-}
-
 func TestCloseDrains(t *testing.T) {
 	q := New[int](8)
 	for i := 0; i < 5; i++ {
@@ -58,13 +72,13 @@ func TestCloseDrains(t *testing.T) {
 	q.Close()
 	q.Close() // idempotent
 	for i := 0; i < 5; i++ {
-		v, ok := q.Take()
+		v, ok := take(q)
 		if !ok || v != i {
 			t.Fatalf("drain %d: got %d,%v", i, v, ok)
 		}
 	}
-	if _, ok := q.Take(); ok {
-		t.Fatal("Take after drain returned ok")
+	if _, ok := take(q); ok {
+		t.Fatal("take after drain returned ok")
 	}
 	if st := q.Stats(); st.Dequeued != 5 {
 		t.Fatalf("Dequeued = %d, want 5", st.Dequeued)
@@ -73,7 +87,7 @@ func TestCloseDrains(t *testing.T) {
 
 func TestOfferAfterCloseCountsDrop(t *testing.T) {
 	q := New[int](1)
-	q.Offer(1) // fill so the closed-channel send branch is not taken
+	q.Offer(1)
 	q.Close()
 	if q.Offer(2) {
 		t.Fatal("Offer after close on full queue accepted")
@@ -83,20 +97,26 @@ func TestOfferAfterCloseCountsDrop(t *testing.T) {
 	}
 }
 
+// A single-record PutBatch on a full queue waits for a taker to free a slot
+// and loses nothing.
 func TestPutBlocksUntilSpace(t *testing.T) {
 	q := New[int](1)
-	q.Put(1)
+	q.PutBatch([]int{1})
 	done := make(chan struct{})
 	go func() {
-		q.Put(2) // blocks until Take below
+		q.PutBatch([]int{2}) // blocks until the take below
 		close(done)
 	}()
-	if v, _ := q.Take(); v != 1 {
+	if v, _ := take(q); v != 1 {
 		t.Fatal("unexpected head")
 	}
-	<-done
-	if v, _ := q.Take(); v != 2 {
-		t.Fatal("blocked Put value lost")
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked PutBatch never returned after a slot was freed")
+	}
+	if v, _ := take(q); v != 2 {
+		t.Fatal("blocked PutBatch value lost")
 	}
 }
 
@@ -128,11 +148,13 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	for c := 0; c < consumers; c++ {
 		go func() {
 			defer consumed.Done()
+			buf := make([]int, 0, 7)
 			for {
-				if _, ok := q.Take(); !ok {
+				var ok bool
+				if buf, ok = q.TakeBatch(buf[:0], 7, 0); !ok {
 					return
 				}
-				got.add(1)
+				got.add(len(buf))
 			}
 		}()
 	}
@@ -140,8 +162,12 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	for p := 0; p < producers; p++ {
 		go func() {
 			defer produced.Done()
-			for i := 0; i < perProducer; i++ {
-				q.Put(i)
+			vs := make([]int, 5)
+			// Batches of 1..5 records, so puts straddle the ring's wrap
+			// point and block on a full ring in every alignment.
+			for i := 0; i < perProducer; {
+				k := min(i%5+1, perProducer-i)
+				i += q.PutBatch(vs[:k])
 			}
 		}()
 	}
@@ -165,8 +191,8 @@ func TestQuickCounterInvariants(t *testing.T) {
 		for i, offer := range ops {
 			if offer {
 				q.Offer(i)
-			} else {
-				q.TryTake()
+			} else if q.Len() > 0 {
+				take(q)
 			}
 		}
 		st := q.Stats()
@@ -210,9 +236,7 @@ func TestOfferBatchAcceptsAndDrops(t *testing.T) {
 
 func TestTakeBatchDrainsAvailable(t *testing.T) {
 	q := New[int](16)
-	for i := 0; i < 5; i++ {
-		q.Put(i)
-	}
+	q.PutBatch([]int{0, 1, 2, 3, 4})
 	buf, ok := q.TakeBatch(nil, 3, 0)
 	if !ok || len(buf) != 3 || buf[0] != 0 || buf[2] != 2 {
 		t.Fatalf("batch = %v ok=%v", buf, ok)
@@ -234,8 +258,8 @@ func TestTakeBatchBlocksForFirst(t *testing.T) {
 		buf, _ := q.TakeBatch(nil, 4, 0)
 		done <- buf
 	}()
-	time.Sleep(10 * time.Millisecond) // consumer is parked on an empty queue
-	q.Put(42)
+	waitParked(q, 1)
+	q.PutBatch([]int{42})
 	select {
 	case buf := <-done:
 		if len(buf) != 1 || buf[0] != 42 {
@@ -248,10 +272,10 @@ func TestTakeBatchBlocksForFirst(t *testing.T) {
 
 func TestTakeBatchWaitGathersStragglers(t *testing.T) {
 	q := New[int](16)
-	q.Put(1)
+	q.PutBatch([]int{1})
 	go func() {
-		time.Sleep(5 * time.Millisecond)
-		q.Put(2)
+		waitParked(q, 1) // the consumer holds record 1 and lingers
+		q.PutBatch([]int{2})
 	}()
 	// With a generous wait the late second record joins the batch.
 	buf, ok := q.TakeBatch(nil, 2, time.Second)
@@ -262,7 +286,7 @@ func TestTakeBatchWaitGathersStragglers(t *testing.T) {
 
 func TestTakeBatchWaitBounded(t *testing.T) {
 	q := New[int](16)
-	q.Put(1)
+	q.PutBatch([]int{1})
 	start := time.Now()
 	buf, ok := q.TakeBatch(nil, 8, 20*time.Millisecond)
 	if !ok || len(buf) != 1 {
@@ -275,7 +299,7 @@ func TestTakeBatchWaitBounded(t *testing.T) {
 
 func TestTakeBatchClosedQueue(t *testing.T) {
 	q := New[int](4)
-	q.Put(1)
+	q.PutBatch([]int{1})
 	q.Close()
 	buf, ok := q.TakeBatch(nil, 4, 0)
 	if !ok || len(buf) != 1 {
@@ -298,9 +322,12 @@ func (a *atomic64) load() int { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
 func BenchmarkOfferTake(b *testing.B) {
 	q := New[int](1024)
 	b.RunParallel(func(pb *testing.PB) {
+		// Every goroutine takes only after its own offer landed, so the
+		// buffer always holds at least one record per blocked taker.
+		buf := make([]int, 0, 1)
 		for pb.Next() {
 			if q.Offer(1) {
-				q.TryTake()
+				buf, _ = q.TakeBatch(buf[:0], 1, 0)
 			}
 		}
 	})
@@ -317,12 +344,12 @@ func TestPutBatchBlocksUntilSpace(t *testing.T) {
 	}
 	// Drain two; the blocked producer finishes.
 	for i := 0; i < 2; i++ {
-		if _, ok := q.Take(); !ok {
-			t.Fatal("take failed")
+		if v, ok := take(q); !ok || v != i+1 {
+			t.Fatalf("take = %d, %v", v, ok)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if v, ok := q.Take(); !ok || v != i+3 {
+		if v, ok := take(q); !ok || v != i+3 {
 			t.Fatalf("take = %d, %v", v, ok)
 		}
 	}
@@ -350,5 +377,190 @@ func TestPutBatchEmpty(t *testing.T) {
 	q := New[int](1)
 	if n := q.PutBatch(nil); n != 0 {
 		t.Fatalf("PutBatch(nil) = %d", n)
+	}
+}
+
+// Offers, puts and takes of assorted sizes walk the head and tail across
+// the ring's wrap point many times; every record must come out once, in
+// the order it went in.
+func TestRingWrapKeepsFIFO(t *testing.T) {
+	q := New[int](7)
+	next, want := 0, 0
+	buf := make([]int, 0, 5)
+	for round := 0; round < 200; round++ {
+		in := make([]int, round%4+1)
+		for i := range in {
+			in[i] = next + i
+		}
+		if round%2 == 0 {
+			next += q.OfferBatch(in)
+		} else {
+			next += q.PutBatch(in[:min(len(in), q.Cap()-q.Len())])
+		}
+		var ok bool
+		buf, ok = q.TakeBatch(buf[:0], round%5+1, 0)
+		if !ok {
+			t.Fatalf("round %d: TakeBatch on a non-empty queue reported closed", round)
+		}
+		for _, v := range buf {
+			if v != want {
+				t.Fatalf("round %d: took %d, want %d", round, v, want)
+			}
+			want++
+		}
+	}
+	q.Close()
+	for {
+		var ok bool
+		if buf, ok = q.TakeBatch(buf[:0], 5, 0); !ok {
+			break
+		}
+		for _, v := range buf {
+			if v != want {
+				t.Fatalf("drain: took %d, want %d", v, want)
+			}
+			want++
+		}
+	}
+	if st := q.Stats(); want != next || st.Dropped != 0 || st.Dequeued != st.Enqueued {
+		t.Fatalf("took %d of %d accepted; stats %+v", want, next, st)
+	}
+}
+
+// A PutBatch larger than the whole ring goes in chunk by chunk as a
+// consumer frees space, and loses nothing.
+func TestPutBatchLargerThanCapacity(t *testing.T) {
+	q := New[int](4)
+	vs := make([]int, 100)
+	for i := range vs {
+		vs[i] = i
+	}
+	done := make(chan int, 1)
+	go func() { done <- q.PutBatch(vs) }()
+	want := 0
+	buf := make([]int, 0, 3)
+	for want < len(vs) {
+		var ok bool
+		if buf, ok = q.TakeBatch(buf[:0], 3, 0); !ok {
+			t.Fatal("queue closed under a blocked PutBatch")
+		}
+		for _, v := range buf {
+			if v != want {
+				t.Fatalf("took %d, want %d", v, want)
+			}
+			want++
+		}
+	}
+	if n := <-done; n != len(vs) {
+		t.Fatalf("PutBatch = %d, want %d", n, len(vs))
+	}
+	if st := q.Stats(); st.Enqueued != 100 || st.Dequeued != 100 || st.Dropped != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// Close wakes every consumer parked on an empty queue, not just one.
+func TestCloseWakesAllParked(t *testing.T) {
+	const consumers = 4
+	q := New[int](8)
+	oks := make(chan bool, consumers)
+	for i := 0; i < consumers; i++ {
+		go func() {
+			_, ok := q.TakeBatch(nil, 4, 0)
+			oks <- ok
+		}()
+	}
+	waitParked(q, consumers)
+	q.Close()
+	for i := 0; i < consumers; i++ {
+		select {
+		case ok := <-oks:
+			if ok {
+				t.Fatal("TakeBatch on a closed empty queue reported ok")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d parked consumers never woke on Close", consumers-i, consumers)
+		}
+	}
+}
+
+// One offer carrying enough for every parked consumer wakes all of them:
+// the producer rings once, and each consumer that leaves records behind
+// rings for the next.
+func TestOfferBatchWakesAllParked(t *testing.T) {
+	const consumers, max = 4, 8
+	q := New[int](consumers * max)
+	got := make(chan int, consumers)
+	for i := 0; i < consumers; i++ {
+		go func() {
+			buf, _ := q.TakeBatch(nil, max, 0)
+			got <- len(buf)
+		}()
+	}
+	waitParked(q, consumers)
+	if n := q.OfferBatch(make([]int, consumers*max)); n != consumers*max {
+		t.Fatalf("OfferBatch = %d", n)
+	}
+	for i := 0; i < consumers; i++ {
+		select {
+		case n := <-got:
+			if n != max {
+				t.Fatalf("consumer took %d records, want %d", n, max)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d parked consumers never woke", consumers-i, consumers)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("%d records left behind", q.Len())
+	}
+}
+
+// A lingering consumer keeps what arrives during the linger and returns
+// the partial batch once the deadline passes, not before.
+func TestTakeBatchLingerReturnsPartialAtDeadline(t *testing.T) {
+	const wait = 30 * time.Millisecond
+	q := New[int](16)
+	q.Offer(1)
+	go func() {
+		waitParked(q, 1) // lingering with record 1
+		q.Offer(2)       // wakes it; it takes 2 and lingers on
+	}()
+	start := time.Now()
+	buf, ok := q.TakeBatch(nil, 8, wait)
+	if elapsed := time.Since(start); elapsed < wait {
+		t.Fatalf("returned after %v, before the %v deadline", elapsed, wait)
+	}
+	if !ok || len(buf) != 2 || buf[0] != 1 || buf[1] != 2 {
+		t.Fatalf("batch = %v ok=%v; want [1 2] true", buf, ok)
+	}
+}
+
+// Steady-state batch moves allocate nothing: no per-call timer when a full
+// batch is waiting, no per-record channel machinery.
+func TestBatchOpsAllocFree(t *testing.T) {
+	q := New[int](64)
+	in := make([]int, 16)
+	buf := make([]int, 0, 16)
+	cases := []struct {
+		name string
+		add  func()
+	}{
+		{"OfferBatch", func() { q.OfferBatch(in) }},
+		{"PutBatch", func() { q.PutBatch(in) }},
+		{"Offer", func() {
+			for i := range in {
+				q.Offer(i)
+			}
+		}},
+	}
+	for _, c := range cases {
+		allocs := testing.AllocsPerRun(100, func() {
+			c.add()
+			buf, _ = q.TakeBatch(buf[:0], len(in), time.Second)
+		})
+		if allocs != 0 {
+			t.Errorf("%s+TakeBatch(wait>0): %.1f allocs/op, want 0", c.name, allocs)
+		}
 	}
 }

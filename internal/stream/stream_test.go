@@ -36,6 +36,16 @@ func (t *testIngest) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	return t.flow.OfferBatch(frs)
 }
 
+// takeOne dequeues q's next record, blocking until one is buffered.
+func takeOne[T any](t *testing.T, q *queue.Queue[T]) T {
+	t.Helper()
+	buf, ok := q.TakeBatch(nil, 1, 0)
+	if !ok {
+		t.Fatal("queue closed and drained")
+	}
+	return buf[0]
+}
+
 func responseAB(t *testing.T) *dnswire.Message {
 	t.Helper()
 	return &dnswire.Message{
@@ -186,7 +196,7 @@ func TestDNSTCPEndToEnd(t *testing.T) {
 	if in.dns.Len() != 2*n {
 		t.Fatalf("queued = %d, want %d", in.dns.Len(), 2*n)
 	}
-	rec, _ := in.dns.Take()
+	rec := takeOne(t, in.dns)
 	if rec.Timestamp != testTime() {
 		t.Fatalf("clock not applied: %v", rec.Timestamp)
 	}
@@ -295,11 +305,11 @@ func TestFlowUDPIngestV5AndV9(t *testing.T) {
 	if st.DecodeError != 3 {
 		t.Fatalf("decode errors = %d", st.DecodeError)
 	}
-	r1, _ := in.flow.Take()
+	r1 := takeOne(t, in.flow)
 	if r1.SrcIP != netip.MustParseAddr("10.0.0.1") || r1.Bytes != 100 {
 		t.Fatalf("v5 record = %+v", r1)
 	}
-	r2, _ := in.flow.Take()
+	r2 := takeOne(t, in.flow)
 	if r2.SrcIP != fr.SrcIP || r2.Bytes != fr.Bytes {
 		t.Fatalf("v9 record = %+v", r2)
 	}
@@ -340,7 +350,8 @@ func TestFlowUDPEndToEnd(t *testing.T) {
 	}
 	deadline := time.After(5 * time.Second)
 	for got := 0; got < n; {
-		if _, ok := in.flow.TryTake(); ok {
+		if in.flow.Len() > 0 {
+			takeOne(t, in.flow)
 			got++
 			continue
 		}
@@ -470,7 +481,7 @@ func TestFlowUDPIngestIPFIX(t *testing.T) {
 	if st.Records != 1 || st.DecodeError != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	got, _ := in.flow.Take()
+	got := takeOne(t, in.flow)
 	if got.SrcIP != fr.SrcIP || got.Bytes != fr.Bytes || !got.Timestamp.Equal(fr.Timestamp) {
 		t.Fatalf("ipfix record = %+v", got)
 	}

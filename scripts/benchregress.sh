@@ -8,8 +8,9 @@
 # BenchmarkIngestDNS, BenchmarkFlattenResponse, BenchmarkSnapshot,
 # BenchmarkRestore, BenchmarkQueryRange, BenchmarkCompact,
 # BenchmarkInfluxEncode, BenchmarkSample, BenchmarkUDPIngest,
-# BenchmarkCmapTable, and BenchmarkForwardFanout on HEAD and on the base
-# ref (in a temporary git
+# BenchmarkCmapTable, BenchmarkForwardFanout and
+# BenchmarkPipelineBatchedWrites (the one benchmark whose records cross all
+# three stage queues) on HEAD and on the base ref (in a temporary git
 # worktree), prints a benchstat comparison when benchstat is installed, and
 # compares per-benchmark median ns/op with a plain awk check: a benchmark
 # present in both runs that is more than TOLERANCE (default 1.20 = +20%
@@ -31,7 +32,7 @@
 set -euo pipefail
 
 BASE_REF=${1:-origin/main}
-BENCHES=${BENCHES:-'BenchmarkCorrelate$|BenchmarkSinkWrite$|BenchmarkRollupObserve$|BenchmarkIngestDNS$|BenchmarkFlattenResponse$|BenchmarkSnapshot$|BenchmarkRestore$|BenchmarkQueryRange$|BenchmarkCompact$|BenchmarkInfluxEncode$|BenchmarkSample$|BenchmarkUDPIngest$|BenchmarkCmapTable$|BenchmarkForwardFanout$'}
+BENCHES=${BENCHES:-'BenchmarkCorrelate$|BenchmarkSinkWrite$|BenchmarkRollupObserve$|BenchmarkIngestDNS$|BenchmarkFlattenResponse$|BenchmarkSnapshot$|BenchmarkRestore$|BenchmarkQueryRange$|BenchmarkCompact$|BenchmarkInfluxEncode$|BenchmarkSample$|BenchmarkUDPIngest$|BenchmarkCmapTable$|BenchmarkForwardFanout$|BenchmarkPipelineBatchedWrites$'}
 COUNT=${COUNT:-6}
 BENCHTIME=${BENCHTIME:-300ms}
 TOLERANCE=${TOLERANCE:-1.20}
@@ -57,7 +58,11 @@ run_bench "$repo_root" | tee "$tmp/head.txt"
 
 echo "==> benchmarks @ $BASE_REF"
 git worktree add --quiet --detach "$tmp/base" "$BASE_REF"
-run_bench "$tmp/base" | tee "$tmp/base.txt"
+# A benchmark that fails on the base (one this change repairs, say) leaves
+# no base median and is then skipped like a newly added one; a failure on
+# HEAD above still aborts the script.
+run_bench "$tmp/base" | tee "$tmp/base.txt" ||
+    echo "==> some benchmarks failed on $BASE_REF; they are not compared"
 
 if command -v benchstat >/dev/null 2>&1; then
     echo "==> benchstat $BASE_REF → HEAD"
