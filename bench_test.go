@@ -230,14 +230,16 @@ func BenchmarkPipelineBatchedWrites(b *testing.B) {
 			// has written everything, so the measurement is true
 			// ingest-to-sink throughput, not queue-offer cost.
 			var offered uint64
-			// Every flow shares DstIP 10.0.0.1 and so lands on one lane,
-			// which holds only its 1/Lanes() share of LookQueueCap: throttle
-			// on the deepest lane, not on the stage's total depth.
+			// Flows route by source IP (the default lookup key), and each
+			// lane's flow ring holds only its 1/Lanes() share of
+			// LookQueueCap: throttle on the deepest lane, not on the stage's
+			// total depth.
 			laneHalf := cfg.LookQueueCap / c.Lanes() / 2
 			for i := 0; i < b.N; i += 512 {
 				for {
 					_, _, write := c.QueueDepths()
-					if slices.Max(c.LaneDepths()) < laneHalf && write < cfg.WriteQueueCap/2 {
+					_, lanes := c.LaneDepths()
+					if slices.Max(lanes) < laneHalf && write < cfg.WriteQueueCap/2 {
 						break
 					}
 					time.Sleep(10 * time.Microsecond)
@@ -354,7 +356,7 @@ func BenchmarkRollupObserve(b *testing.B) {
 // resolving one flow against a populated IP-NAME store (Algorithm 2), serial
 // and under full multi-core contention. The parallel variant is the number
 // the sharded-lane design targets: with lanes aligned to the store layout,
-// concurrent LookUp workers touch disjoint shard slices and scale with
+// concurrent lane workers touch disjoint shard slices and scale with
 // cores instead of serializing on shared generations.
 func BenchmarkCorrelate(b *testing.B) {
 	const services = 4096
@@ -547,15 +549,17 @@ func BenchmarkExactTTL(b *testing.B) {
 // respectively).
 //
 //   - engine: record-at-a-time IngestDNS, Main config.
-//   - engine/batch=128: the fill-lane worker path — IngestDNSBatch with
+//   - engine/batch=128: the lane worker's fill path — IngestDNSBatch with
 //     per-batch clear-up, stats, and shard-lock amortization.
 //   - exact-ttl, exact-ttl/batch=128: the same two paths in Appendix A.8
 //     mode, where the typed (value, expiry) entries replaced the
 //     "value\x00unixNano" string encoding.
 //   - string-answer: the fallback path for records without a typed
 //     address (hand-built or legacy captures) — pays the one parse.
-//   - parallel/fill-lanes=8: concurrent batched ingest across 8 fill
-//     lanes aligned with the store's lane-major split layout.
+//   - parallel/fill-lanes=8: concurrent batched ingest across 8 lanes
+//     aligned with the store's lane-major split layout (the name predates
+//     the merge of fill and correlation lanes; it is kept so the guarded
+//     series stays comparable).
 func BenchmarkIngestDNS(b *testing.B) {
 	const n = 4096
 	typedRecs := func() []stream.DNSRecord {
@@ -589,13 +593,13 @@ func BenchmarkIngestDNS(b *testing.B) {
 			c.IngestDNS(recs[i%n])
 		}
 	}
-	// makeLaneBatches partitions recs per fill lane (as OfferDNSBatch
-	// does) and slices each lane's records into batchSize-record batches —
-	// the workload shape the per-lane fill workers drain.
+	// makeLaneBatches partitions recs per lane (as OfferDNSBatch does) and
+	// slices each lane's records into batchSize-record batches — the
+	// workload shape the lane workers drain.
 	makeLaneBatches := func(c *core.Correlator, recs []stream.DNSRecord, batchSize int) [][]stream.DNSRecord {
-		perLane := make([][]stream.DNSRecord, c.FillLanes())
+		perLane := make([][]stream.DNSRecord, c.Lanes())
 		for i := range recs {
-			l := c.FillLaneFor(&recs[i])
+			l := c.LaneFor(&recs[i])
 			perLane[l] = append(perLane[l], recs[i])
 		}
 		var batches [][]stream.DNSRecord
@@ -610,7 +614,7 @@ func BenchmarkIngestDNS(b *testing.B) {
 		return batches
 	}
 
-	// batch models the fill-lane worker: batches are lane-local (the
+	// batch models the lane worker's fill step: batches are lane-local (the
 	// OfferDNSBatch partition routes every record to the lane owning its
 	// answer address), so a batch's puts concentrate on that lane's split
 	// slice and the shard-lock amortization is the deployed one.
@@ -657,13 +661,12 @@ func BenchmarkIngestDNS(b *testing.B) {
 	b.Run("parallel/fill-lanes=8", func(b *testing.B) {
 		cfg := core.DefaultConfig()
 		cfg.Lanes = 8
-		cfg.FillLanes = 8
 		c := core.New(cfg)
 		recs := typedRecs()
 		seed(c, recs)
 		// Lane-local batches, exactly as the batch variant builds them: a
 		// concurrent worker always ingests one lane's records, as the
-		// deployed per-lane fill workers do.
+		// deployed lane workers do.
 		batches := makeLaneBatches(c, recs, 128)
 		var next atomic.Uint64
 		b.ReportAllocs()

@@ -28,7 +28,6 @@ import (
 func chaosConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Lanes = 2
-	cfg.FillLanes = 2
 	cfg.FillQueueCap = 512
 	cfg.LookQueueCap = 512
 	cfg.WriteQueueCap = 1024

@@ -279,8 +279,8 @@ func main() {
 		}
 		log.Printf("flowdns: checkpointing to %s every %v", cfg.SnapshotPath, corr.Config().SnapshotEvery)
 	}
-	log.Printf("flowdns: running (variant=%s, lanes=%d, fill-lanes=%d, sink=%s, batch=%d, rollup=%v)",
-		cmp.Or(file.Correlator.Variant, "Main"), corr.Lanes(), corr.FillLanes(), cmp.Or(file.Output.Sink, "tsv"), cfg.WriteBatchSize, engine != nil)
+	log.Printf("flowdns: running (variant=%s, lanes=%d, sink=%s, batch=%d, rollup=%v)",
+		cmp.Or(file.Correlator.Variant, "Main"), corr.Lanes(), cmp.Or(file.Output.Sink, "tsv"), cfg.WriteBatchSize, engine != nil)
 	if err := corr.Run(ctx); err != nil {
 		log.Fatalf("flowdns: %v", err)
 	}
@@ -332,10 +332,7 @@ func bindFlags(fs *flag.FlagSet) *cli {
 
 	cc := &f.Correlator
 	fs.StringVar(&cc.Variant, "variant", "Main", "benchmark variant: Main, NoSplit, NoClearUp, NoRotation, NoLong, ExactTTL")
-	fs.IntVar(&cc.Lanes, "lanes", 0, "correlation lanes (flows partitioned by dst IP; 0 = one lane per split)")
-	fs.IntVar(&cc.FillLanes, "fill-lanes", 0, "fill lanes (DNS records partitioned by answer IP; 0 = mirror -lanes)")
-	fs.IntVar(&cc.FillUpWorkers, "fillup-workers", 4, "FillUp workers")
-	fs.IntVar(&cc.LookUpWorkers, "lookup-workers", core.DefaultNumSplit, "LookUp workers (distributed across lanes, min one per lane)")
+	fs.IntVar(&cc.Lanes, "lanes", 0, "lanes, one FillUp+LookUp worker each (DNS partitioned by answer IP, flows by lookup IP; 0 = one lane per split)")
 	fs.IntVar(&cc.WriteWorkers, "write-workers", 2, "Write workers")
 	fs.IntVar(&cc.WriteBatchSize, "batch-size", core.DefaultWriteBatchSize, "correlated flows per sink WriteBatch call")
 	fs.IntVar(&cc.IngestBatch, "ingest-batch", 0, "UDP datagrams drained per batched socket read (recvmmsg ring size; 0 = default 32, 1 = single-read loop)")

@@ -38,8 +38,7 @@ const flagDefaults = `{
 	"dns_streams":  [{"listen": ":5353"}],
 	"flow_streams": [{"listen": ":2055"}],
 	"output":       {"path": "-", "sink": "tsv"},
-	"correlator":   {"variant": "Main", "fillup_workers": 4, "lookup_workers": 10,
-	                 "write_workers": 2, "write_batch_size": 256},
+	"correlator":   {"variant": "Main", "write_workers": 2, "write_batch_size": 256},
 	"rollup":       {"path": "rollups.tsv", "format": "tsv"}
 }`
 
@@ -98,9 +97,6 @@ var flagRows = []struct {
 		map[string]any{"output.retry": map[string]any{"spill_path": "s.jsonl"}}},
 	{"variant", []string{"-variant", "NoSplit"}, map[string]any{"correlator.variant": "NoSplit"}},
 	{"lanes", []string{"-lanes", "8"}, map[string]any{"correlator.lanes": 8}},
-	{"fill-lanes", []string{"-fill-lanes", "4"}, map[string]any{"correlator.fill_lanes": 4}},
-	{"fillup-workers", []string{"-fillup-workers", "6"}, map[string]any{"correlator.fillup_workers": 6}},
-	{"lookup-workers", []string{"-lookup-workers", "12"}, map[string]any{"correlator.lookup_workers": 12}},
 	{"write-workers", []string{"-write-workers", "3"}, map[string]any{"correlator.write_workers": 3}},
 	{"batch-size", []string{"-batch-size", "64"}, map[string]any{"correlator.write_batch_size": 64}},
 	{"ingest-batch", []string{"-ingest-batch", "1"}, map[string]any{"correlator.ingest_batch": 1}},

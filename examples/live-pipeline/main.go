@@ -84,7 +84,7 @@ func main() {
 	emitters.Wait() // DNS leads flows, as resolution precedes traffic
 
 	// The TCP writes above finish well before the collector has drained the
-	// framed messages through the fill lanes into the store. Hold the flow
+	// framed messages through the lanes into the store. Hold the flow
 	// exporters until the fill counter goes quiet — DNSRecords advances only
 	// after store insertion — so traffic starts against a warm store, as in
 	// a real deployment where resolution precedes traffic by seconds. On a

@@ -33,18 +33,16 @@ func TestLoopbackPipeline(t *testing.T) {
 	}
 
 	sink := core.NewCountingSink()
-	// The full sharded topology: DNS TCP stream → 8 fill lanes (parallel
-	// batched FillUp) → 8 correlation lanes → sink.
+	// The full sharded topology: DNS TCP stream and NetFlow stream → 8
+	// lanes (each one batched FillUp+LookUp worker) → sink.
 	cfg := core.DefaultConfig()
 	cfg.Lanes = 8
-	cfg.FillLanes = 8
-	cfg.FillUpWorkers = 8
 	c := core.New(cfg,
 		core.WithSink(sink),
 		core.WithSources(stream.NewDNSListener(dnsLn), stream.NewFlowUDPSource(nfConn)),
 	)
-	if c.Lanes() != 8 || c.FillLanes() != 8 {
-		t.Fatalf("lanes = %d, fill lanes = %d", c.Lanes(), c.FillLanes())
+	if c.Lanes() != 8 {
+		t.Fatalf("lanes = %d", c.Lanes())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)

@@ -228,10 +228,7 @@ type CorrelatorConfig struct {
 	Variant         string `json:"variant"`            // Main (default), NoSplit, ...
 	LookupKey       string `json:"lookup_key"`         // source (default), destination, both
 	NumSplit        int    `json:"num_split"`          // 0 = paper default (10)
-	Lanes           int    `json:"lanes"`              // correlation lanes; 0 = one per split (paper default)
-	FillLanes       int    `json:"fill_lanes"`         // fill lanes; 0 = mirror correlation lanes
-	FillUpWorkers   int    `json:"fillup_workers"`     // 0 = default
-	LookUpWorkers   int    `json:"lookup_workers"`     // 0 = default
+	Lanes           int    `json:"lanes"`              // lanes, one FillUp+LookUp worker each; 0 = one per split (paper default)
 	WriteWorkers    int    `json:"write_workers"`      // 0 = default
 	AClearUpSeconds int    `json:"a_clear_up_seconds"` // 0 = 3600
 	CClearUpSeconds int    `json:"c_clear_up_seconds"` // 0 = 7200
@@ -278,11 +275,24 @@ func Load(path string) (*File, error) {
 	return Parse(data)
 }
 
+// removedCorrelatorKeys are settings lanes replaced (a lane runs one worker
+// that fills and looks up); plain decoding would skip them silently.
+var removedCorrelatorKeys = []string{"fill_lanes", "fillup_workers", "lookup_workers"}
+
 // Parse decodes and validates a configuration document.
 func Parse(data []byte) (*File, error) {
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
+	}
+	var raw struct{ Correlator map[string]json.RawMessage }
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, fmt.Errorf("config: %w", err)
+	}
+	for _, k := range removedCorrelatorKeys {
+		if _, ok := raw.Correlator[k]; ok {
+			return nil, fmt.Errorf("config: correlator.%s was removed: each lane runs one FillUp+LookUp worker, so set lanes instead", k)
+		}
 	}
 	if err := f.Validate(); err != nil {
 		return nil, err
@@ -455,15 +465,6 @@ func (f *File) CoreConfig() (core.Config, error) {
 	if cc.Lanes > 0 {
 		cfg.Lanes = cc.Lanes
 	}
-	if cc.FillLanes > 0 {
-		cfg.FillLanes = cc.FillLanes
-	}
-	if cc.FillUpWorkers > 0 {
-		cfg.FillUpWorkers = cc.FillUpWorkers
-	}
-	if cc.LookUpWorkers > 0 {
-		cfg.LookUpWorkers = cc.LookUpWorkers
-	}
 	if cc.WriteWorkers > 0 {
 		cfg.WriteWorkers = cc.WriteWorkers
 	}
@@ -546,8 +547,6 @@ func Example() *File {
 		Correlator: CorrelatorConfig{
 			Variant:               "Main",
 			LookupKey:             "source",
-			FillUpWorkers:         4,
-			LookUpWorkers:         core.DefaultNumSplit,
 			WriteWorkers:          2,
 			WriteBatchSize:        core.DefaultWriteBatchSize,
 			IngestBatch:           stream.DefaultIngestBatch,

@@ -34,8 +34,7 @@ func TestParseFull(t *testing.T) {
 		"output":{"path":"out.tsv","skip_misses":true},
 		"correlator":{
 			"variant":"NoRotation","lookup_key":"both","num_split":4,
-			"lanes":2,"fill_lanes":2,
-			"fillup_workers":2,"lookup_workers":3,"write_workers":1,
+			"lanes":2,"write_workers":1,
 			"a_clear_up_seconds":1800,"c_clear_up_seconds":3600,
 			"cname_chain_limit":4,"queue_capacity":1024
 		}
@@ -57,8 +56,8 @@ func TestParseFull(t *testing.T) {
 	if cfg.CNAMEChainLimit != 4 || cfg.FillQueueCap != 1024 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
-	if cfg.Lanes != 2 || cfg.FillLanes != 2 {
-		t.Fatalf("lanes = %d, fill lanes = %d, want 2/2", cfg.Lanes, cfg.FillLanes)
+	if cfg.Lanes != 2 || cfg.WriteWorkers != 1 {
+		t.Fatalf("lanes = %d, write workers = %d, want 2/1", cfg.Lanes, cfg.WriteWorkers)
 	}
 	if !f.Output.SkipMisses || f.Output.Path != "out.tsv" {
 		t.Fatalf("output = %+v", f.Output)
@@ -99,6 +98,22 @@ func TestParseErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Parse(%q) err = %v, want containing %q", c.doc, err, c.want)
 		}
+	}
+}
+
+// The worker-count settings removed when a lane became one FillUp+LookUp
+// worker fail the parse, naming lanes, instead of being skipped silently.
+func TestParseRejectsRemovedWorkerKeys(t *testing.T) {
+	for _, key := range []string{"fill_lanes", "fillup_workers", "lookup_workers"} {
+		doc := `{"dns_streams":[{"listen":":1"}],"correlator":{"lanes":4,"` + key + `":4}}`
+		_, err := Parse([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), key) || !strings.Contains(err.Error(), "lanes") {
+			t.Errorf("Parse with %s: err = %v, want one naming %s and lanes", key, err, key)
+		}
+	}
+	// Zero is no escape: the key's presence is the mistake.
+	if _, err := Parse([]byte(`{"dns_streams":[{"listen":":1"}],"correlator":{"fill_lanes":0}}`)); err == nil {
+		t.Error("fill_lanes: 0 accepted")
 	}
 }
 

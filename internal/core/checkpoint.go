@@ -128,9 +128,9 @@ func (s *store) writeSections(w *snapshot.Writer, family uint8, owns func(h uint
 }
 
 // Restore loads a snapshot stream into the correlator's stores, fanning the
-// CRC-validated sections out across one worker per fill lane. Entries whose
+// CRC-validated sections out across one worker per lane. Entries whose
 // stored expiry has already passed at now are dropped at load; every kept
-// name string is re-interned through the owning fill lane's interner, so a
+// name string is re-interned through the owning lane's interner, so a
 // restored store shares one backing string per distinct service name exactly
 // as a live-filled store does. Split and shard placement are recomputed from
 // the key hash, never trusted from the file, so a snapshot taken under one
@@ -220,11 +220,11 @@ func (c *Correlator) applySection(sec *snapshot.Section, nowNs int64) (applied, 
 		if binKeys && len(key) == 16 {
 			k := [16]byte(key)
 			h := ipHash(&k)
-			in := c.interners[c.fillLaneForHash(h)]
+			in := c.interners[c.laneForHash(h)]
 			st.insertRestored(sec.Gen, h, k[:], "", in.intern(string(value)), exp, true)
 		} else {
 			h := cmap.HashBytes(key)
-			in := c.interners[c.fillLaneForHash(h)]
+			in := c.interners[c.laneForHash(h)]
 			st.insertRestored(sec.Gen, h, nil, in.intern(string(key)), in.intern(string(value)), exp, false)
 		}
 		applied++

@@ -3,13 +3,14 @@
 // NetFlow streams that attributes each flow's source IP to the service
 // (domain name) it belongs to.
 //
-// The pipeline is the paper's Figure 1: FillUp workers drain the DNS queue
-// into sharded answer→query hashmaps; LookUp workers drain the NetFlow
-// queue, resolve each source IP through the IP-NAME maps and then walk the
-// NAME-CNAME maps backwards (up to 6 hops) toward the original service
-// name; Write workers emit correlated flows to a sink. All state lives in
-// active/inactive/long map generations rotated on the clear-up intervals
-// (Algorithms 1 and 2, Table 1).
+// The pipeline is the paper's Figure 1, sharded into lanes. Each lane has
+// a DNS ring and a flow ring and one worker that is both the lane's FillUp
+// and its LookUp worker: it fills DNS records into the sharded
+// answer→query hashmaps, and resolves each flow's IP through the IP-NAME
+// maps and then walks the NAME-CNAME maps backwards (up to 6 hops) toward
+// the original service name. Write workers emit correlated flows to a
+// sink. All state lives in active/inactive/long map generations rotated on
+// the clear-up intervals (Algorithms 1 and 2, Table 1).
 package core
 
 import "time"
@@ -97,46 +98,30 @@ type Config struct {
 	// CNAMEChainLimit bounds the CNAME walk (paper: 6 covers >99 %).
 	CNAMEChainLimit int
 
-	// Lanes is the number of independent correlation lanes the LookUp
-	// stage is sharded into. Flows are partitioned onto lanes by a hash of
-	// the destination IP at offer time (same dst IP → same lane, always);
-	// each lane owns its own lookup queue, its own workers, and — via the
-	// lane-major split layout — its own slice of the IP-NAME store splits.
-	// 0 falls back to the paper default: one lane per split (NumSplit,
-	// Table 1), mirroring the per-split design. The NoSplit ablation
-	// collapses to a single lane.
+	// Lanes is the pipeline's parallelism: the paper's "multiple FillUp and
+	// LookUp workers" are one worker per lane, filling and correlating in
+	// one loop. At offer time DNS records are partitioned onto lanes by a
+	// hash of the A/AAAA answer address, and flows by a hash of their
+	// lookup address (Key), so one address always maps to one lane; via the
+	// lane-major split layout each lane owns its own slice of the IP-NAME
+	// store splits. 0 falls back to the paper default: one lane per split
+	// (NumSplit, Table 1), mirroring the per-split design. The NoSplit
+	// ablation collapses to a single lane.
 	Lanes int
-
-	// FillLanes is the number of independent fill lanes the FillUp stage is
-	// sharded into. DNS records are partitioned onto fill lanes by a hash
-	// of the A/AAAA answer address at offer time — the same hash that
-	// labels the record's store split — so with FillLanes == Lanes (the
-	// default when 0) each fill lane writes only its own lane's slice of
-	// the IP-NAME splits and FillUp workers never contend on the same
-	// generation shards. The NoSplit ablation collapses to a single fill
-	// lane.
-	FillLanes int
 
 	// Key selects which flow address is resolved (default: source, as in
 	// the paper's deployment).
 	Key LookupKey
 
-	// Worker counts per stage. The paper allocates "multiple FillUp workers
-	// ... to each DNS stream" and likewise for LookUp; these are the
-	// totals. LookUp workers are distributed across lanes; since a lane
-	// without a worker would never drain, the effective LookUp total is
-	// raised to Lanes when LookUpWorkers < Lanes.
-	FillUpWorkers int
-	LookUpWorkers int
-	WriteWorkers  int
+	// WriteWorkers is the number of Write workers sharing the write queue.
+	WriteWorkers int
 
 	// Queue capacities; overflowing queues drop records (stream loss).
-	// LookQueueCap is the total across all lanes, divided evenly (each
-	// lane gets LookQueueCap/Lanes, minimum 1). A single hot destination
-	// can buffer up to one lane's share before that lane drops — less
-	// absorption than the pre-lane shared queue gave a single bursty
-	// destination — so operators with skewed traffic should raise this
-	// and watch LaneDepths.
+	// FillQueueCap and LookQueueCap are totals across all lanes, divided
+	// evenly (each lane's DNS ring gets FillQueueCap/Lanes and its flow
+	// ring LookQueueCap/Lanes, minimum 1). A single hot address can buffer
+	// up to one lane's share before that lane drops, so operators with
+	// skewed traffic should raise these and watch LaneDepths.
 	FillQueueCap  int
 	LookQueueCap  int
 	WriteQueueCap int
@@ -188,7 +173,7 @@ type Config struct {
 	SnapshotEvery time.Duration
 
 	// RestartBackoffMin/Max bound the supervised-restart backoff: when a
-	// stage worker or attached Service dies abnormally (panic, early
+	// lane or Write worker or attached Service dies abnormally (panic, early
 	// return), it is restarted after RestartBackoffMin, doubling per
 	// consecutive failure up to RestartBackoffMax. Zero values take the
 	// defaults (100 ms / 5 s).
@@ -203,8 +188,6 @@ func DefaultConfig() Config {
 		AClearUpInterval:      DefaultAClearUpInterval,
 		CClearUpInterval:      DefaultCClearUpInterval,
 		CNAMEChainLimit:       DefaultCNAMEChainLimit,
-		FillUpWorkers:         4,
-		LookUpWorkers:         DefaultNumSplit, // one per default lane; every lane needs a worker
 		WriteWorkers:          2,
 		FillQueueCap:          DefaultQueueCapacity,
 		LookQueueCap:          DefaultQueueCapacity,
@@ -255,45 +238,19 @@ func ConfigForVariant(v Variant) Config {
 // pipeline from a partially specified config.
 func (c Config) normalized() Config {
 	d := DefaultConfig()
-	if c.NumSplit <= 0 {
-		c.NumSplit = d.NumSplit
-	}
-	if c.AClearUpInterval <= 0 {
-		c.AClearUpInterval = d.AClearUpInterval
-	}
-	if c.CClearUpInterval <= 0 {
-		c.CClearUpInterval = d.CClearUpInterval
-	}
-	if c.CNAMEChainLimit <= 0 {
-		c.CNAMEChainLimit = d.CNAMEChainLimit
-	}
-	if c.FillUpWorkers <= 0 {
-		c.FillUpWorkers = d.FillUpWorkers
-	}
-	if c.LookUpWorkers <= 0 {
-		c.LookUpWorkers = d.LookUpWorkers
-	}
-	if c.WriteWorkers <= 0 {
-		c.WriteWorkers = d.WriteWorkers
-	}
-	if c.FillQueueCap <= 0 {
-		c.FillQueueCap = d.FillQueueCap
-	}
-	if c.LookQueueCap <= 0 {
-		c.LookQueueCap = d.LookQueueCap
-	}
-	if c.WriteQueueCap <= 0 {
-		c.WriteQueueCap = d.WriteQueueCap
-	}
-	if c.WriteBatchSize <= 0 {
-		c.WriteBatchSize = d.WriteBatchSize
-	}
-	if c.WriteFlushInterval <= 0 {
-		c.WriteFlushInterval = d.WriteFlushInterval
-	}
-	if c.ExactTTLSweepInterval <= 0 {
-		c.ExactTTLSweepInterval = d.ExactTTLSweepInterval
-	}
+	c.NumSplit = orDefault(c.NumSplit, d.NumSplit)
+	c.AClearUpInterval = orDefault(c.AClearUpInterval, d.AClearUpInterval)
+	c.CClearUpInterval = orDefault(c.CClearUpInterval, d.CClearUpInterval)
+	c.CNAMEChainLimit = orDefault(c.CNAMEChainLimit, d.CNAMEChainLimit)
+	c.WriteWorkers = orDefault(c.WriteWorkers, d.WriteWorkers)
+	c.FillQueueCap = orDefault(c.FillQueueCap, d.FillQueueCap)
+	c.LookQueueCap = orDefault(c.LookQueueCap, d.LookQueueCap)
+	c.WriteQueueCap = orDefault(c.WriteQueueCap, d.WriteQueueCap)
+	c.WriteBatchSize = orDefault(c.WriteBatchSize, d.WriteBatchSize)
+	c.WriteFlushInterval = orDefault(c.WriteFlushInterval, d.WriteFlushInterval)
+	c.ExactTTLSweepInterval = orDefault(c.ExactTTLSweepInterval, d.ExactTTLSweepInterval)
+	c.SnapshotEvery = orDefault(c.SnapshotEvery, DefaultSnapshotInterval)
+	c.RestartBackoffMin = orDefault(c.RestartBackoffMin, DefaultRestartBackoffMin)
 	if c.SampleMaxShed > 0 {
 		if c.SampleMaxShed > 1 {
 			c.SampleMaxShed = 1
@@ -308,27 +265,15 @@ func (c Config) normalized() Config {
 			c.SampleHighWater = 1
 		}
 	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = DefaultSnapshotInterval
-	}
-	if c.RestartBackoffMin <= 0 {
-		c.RestartBackoffMin = DefaultRestartBackoffMin
-	}
 	if c.RestartBackoffMax < c.RestartBackoffMin {
 		c.RestartBackoffMax = DefaultRestartBackoffMax
 		if c.RestartBackoffMax < c.RestartBackoffMin {
 			c.RestartBackoffMax = c.RestartBackoffMin
 		}
 	}
+	c.Lanes = orDefault(c.Lanes, c.NumSplit) // paper default: one lane per split
 	if c.DisableSplit {
-		c.NumSplit = 1
-	}
-	if c.Lanes <= 0 {
-		// Paper-default fallback: one correlation lane per split.
-		c.Lanes = c.NumSplit
-	}
-	if c.DisableSplit {
-		c.Lanes = 1
+		c.NumSplit, c.Lanes = 1, 1
 	}
 	// The lane-major store layout needs an equal number of splits per
 	// lane; round NumSplit up to the next multiple of Lanes so Config()
@@ -336,13 +281,13 @@ func (c Config) normalized() Config {
 	if rem := c.NumSplit % c.Lanes; rem != 0 {
 		c.NumSplit += c.Lanes - rem
 	}
-	if c.FillLanes <= 0 {
-		// Default: mirror the correlation lanes, aligning the fill
-		// partition with the lane-major split layout.
-		c.FillLanes = c.Lanes
-	}
-	if c.DisableSplit {
-		c.FillLanes = 1
-	}
 	return c
+}
+
+// orDefault returns v, or def when v is not positive.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
 }

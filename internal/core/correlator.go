@@ -31,8 +31,8 @@ type CorrelatedFlow struct {
 	ChainLen int
 	// Tier records which generation satisfied the IP-NAME lookup.
 	Tier Tier
-	// EnqueuedAt is the wall-clock instant the flow entered the LookUp
-	// queue (stamped by OfferFlow/OfferFlowBatch; zero for synchronous
+	// EnqueuedAt is the wall-clock instant the flow entered its lane's flow
+	// ring (stamped by OfferFlow/OfferFlowBatch; zero for synchronous
 	// CorrelateFlow calls). The write-delay metric — time from flow arrival
 	// to the sink write, spanning the LookUp wait, the correlation, and the
 	// write queue — derives from it.
@@ -52,8 +52,8 @@ type flowEntry struct {
 	at time.Time
 }
 
-// ingestBatchSize bounds how many records a FillUp/LookUp worker drains per
-// queue round trip (one lock acquisition however many it takes), so the
+// ingestBatchSize bounds how many records a lane worker takes from each of
+// its rings per round (one lock acquisition however many it takes), so the
 // queue cost is paid per batch without adding latency (workers never wait
 // for a batch to fill).
 const ingestBatchSize = 128
@@ -148,21 +148,13 @@ type Correlator struct {
 	ipName    *store // A/AAAA answer(IP) -> query name
 	nameCname *store // CNAME answer(canonical) -> query (alias)
 
-	// fill is the sharded FillUp stage, mirroring the correlation lanes: DNS
-	// records are partitioned onto fill lanes by the same ipHash of the
-	// A/AAAA answer address that places the entry in the store. With
-	// FillLanes == Lanes every fill lane therefore writes only its lane's
-	// slice of the store splits, so concurrent FillUp workers never contend
-	// on the same generation shards — the put-side twin of the lane-major
-	// lookup layout. interners holds one name interner per fill lane.
-	fill      *stage[stream.DNSRecord]
+	// dns and flows are the FillUp and LookUp stages; lane l's worker
+	// (lane.go) drains dns.lanes[l] and flows.lanes[l], parking on bells[l].
+	dns       *stage[stream.DNSRecord]
+	flows     *stage[flowEntry]
+	bells     []*queue.Bell
 	interners []*interner
-	// look is the sharded LookUp stage: flows are partitioned onto lanes by
-	// a hash of the destination IP (same dst IP → same lane). The store's
-	// lane-major split layout aligns with this partition, so
-	// destination-keyed lookups from different lanes never touch the same
-	// generation shards.
-	look *stage[flowEntry]
+	lanesWG   sync.WaitGroup
 	// write is the single-lane Write stage feeding the sink.
 	write *stage[CorrelatedFlow]
 
@@ -218,7 +210,7 @@ func New(cfg Config, opts ...Option) *Correlator {
 			exactTTL:      cfg.ExactTTL,
 			sweepInterval: cfg.ExactTTLSweepInterval,
 		}),
-		interners:  make([]*interner, cfg.FillLanes),
+		interners:  make([]*interner, cfg.Lanes),
 		sinkFailed: make(chan struct{}),
 		draining:   make(chan struct{}),
 	}
@@ -228,9 +220,12 @@ func New(cfg Config, opts ...Option) *Correlator {
 		HighWater: cfg.SampleHighWater,
 		MaxShed:   cfg.SampleMaxShed,
 	}
-	c.fill = newStage[stream.DNSRecord](compFill, &c.sup, cfg.FillLanes, cfg.FillQueueCap, cfg.FillUpWorkers, sampler)
-	c.look = newStage[flowEntry](compLook, &c.sup, cfg.Lanes, cfg.LookQueueCap, cfg.LookUpWorkers, sampler)
-	c.write = newStage[CorrelatedFlow](compWrite, &c.sup, 1, cfg.WriteQueueCap, cfg.WriteWorkers, sampler)
+	for range cfg.Lanes {
+		c.bells = append(c.bells, queue.NewBell())
+	}
+	c.dns = newStage[stream.DNSRecord](compFill, &c.sup, c.bells, cfg.FillQueueCap, sampler)
+	c.flows = newStage[flowEntry](compLook, &c.sup, c.bells, cfg.LookQueueCap, sampler)
+	c.write = newStage[CorrelatedFlow](compWrite, &c.sup, []*queue.Bell{queue.NewBell()}, cfg.WriteQueueCap, sampler)
 	for i := range c.interners {
 		c.interners[i] = newInterner(defaultInternCap)
 	}
@@ -241,7 +236,7 @@ func New(cfg Config, opts ...Option) *Correlator {
 		}
 	}
 	// Restore-on-boot: repopulate the stores from the last checkpoint, if
-	// one exists. This runs after the fill lanes are built (restored names
+	// one exists. This runs after the lanes are built (restored names
 	// re-intern through the lane interners) and before any worker starts,
 	// so the restore itself is the only writer.
 	if cfg.SnapshotPath != "" {
@@ -277,131 +272,115 @@ func ipHash(key *[16]byte) uint32 {
 	return uint32(x)
 }
 
-// laneFor returns the correlation lane owning addr: the low bits of the
-// shared IP-key hash, exactly as the store's lane-major split layout uses
-// them.
+// laneForHash maps a key hash onto the lane owning it: the low bits of the
+// hash, exactly as the store's lane-major split layout uses them.
+func (c *Correlator) laneForHash(h uint32) int { return int(h % uint32(len(c.bells))) }
+
+// laneFor returns the lane owning addr.
 func (c *Correlator) laneFor(addr netip.Addr) int {
-	if len(c.look.lanes) == 1 {
+	if len(c.bells) == 1 {
 		return 0
 	}
 	a16 := addr.As16()
-	return int(ipHash(&a16) % uint32(len(c.look.lanes)))
+	return c.laneForHash(ipHash(&a16))
 }
 
-// fillLaneFor returns the fill lane owning rec. A/AAAA records route by the
-// same ipHash of the answer address that labels their store split, so with
-// FillLanes == Lanes each fill lane writes only its own split slice; the
-// offer path materializes the typed address first (TypeAnswerAddr), so a
-// string-only producer's records route identically to a wire source's for
-// the same IP. Records without a parsable address (CNAMEs, garbage
-// answers) route by the answer-string hash — any lane ingests them
-// correctly; only the contention alignment is lost.
-func (c *Correlator) fillLaneFor(rec *stream.DNSRecord) int {
-	if len(c.fill.lanes) == 1 {
-		return 0
+// LaneFor returns the lane a DNS record routes to: A/AAAA records by the
+// answer address that labels their store split (the offer path
+// materializes it first, so string-only and wire records for one IP agree),
+// others (CNAMEs, garbage answers) by the answer-string hash.
+func (c *Correlator) LaneFor(rec *stream.DNSRecord) int {
+	if rec.Addr.IsValid() || len(c.bells) == 1 {
+		return c.laneFor(rec.Addr)
 	}
-	if rec.Addr.IsValid() {
-		a16 := rec.Addr.As16()
-		return c.fillLaneForHash(ipHash(&a16))
+	return c.laneForHash(cmap.Hash(rec.Answer))
+}
+
+// flowLane returns the lane owning the address fr is resolved by; LookupBoth
+// routes by its first probe, the source.
+func (c *Correlator) flowLane(fr *netflow.FlowRecord) int {
+	if c.cfg.Key == LookupDestination {
+		return c.laneFor(fr.DstIP)
 	}
-	return c.fillLaneForHash(cmap.Hash(rec.Answer))
+	return c.laneFor(fr.SrcIP)
 }
 
-// fillLaneForHash is fillLaneFor when the caller already has the key hash.
-func (c *Correlator) fillLaneForHash(h uint32) int {
-	return int(h % uint32(len(c.fill.lanes)))
-}
-
-// Lanes returns the number of correlation lanes in effect.
-func (c *Correlator) Lanes() int { return len(c.look.lanes) }
-
-// FillLanes returns the number of fill lanes in effect.
-func (c *Correlator) FillLanes() int { return len(c.fill.lanes) }
+// Lanes returns the number of lanes in effect.
+func (c *Correlator) Lanes() int { return len(c.bells) }
 
 // Config returns the normalized configuration in effect.
 func (c *Correlator) Config() Config { return c.cfg }
 
 // --- stream.Ingest façade (live pipeline) ---
 
-// OfferDNS places a DNS record on its fill lane's FillUp queue; a false
-// return is a dropped record (stream loss). The lane is chosen by the
-// answer-address hash, so records for the same address always land on the
-// same lane.
+// OfferDNS places a DNS record on its lane's DNS ring; a false return is a
+// dropped record (stream loss). The lane is chosen by the answer-address
+// hash, so records for the same address always land on the same lane.
 func (c *Correlator) OfferDNS(rec stream.DNSRecord) bool {
 	rec.TypeAnswerAddr()
-	return c.fill.lanes[c.fillLaneFor(&rec)].Offer(rec)
+	return c.dns.lanes[c.LaneFor(&rec)].Offer(rec)
 }
 
-// OfferDNSBatch partitions a batch of DNS records onto their fill lanes in
-// one pass, as OfferFlowBatch does for flows, and returns how many were
+// OfferDNSBatch partitions a batch of DNS records onto their lanes in one
+// pass, as OfferFlowBatch does for flows, and returns how many were
 // accepted.
 func (c *Correlator) OfferDNSBatch(recs []stream.DNSRecord) int {
 	if len(recs) == 0 {
 		return 0
 	}
-	if len(c.fill.lanes) == 1 {
-		return c.fill.lanes[0].OfferBatch(recs)
+	if len(c.dns.lanes) == 1 {
+		return c.dns.lanes[0].OfferBatch(recs)
 	}
-	p := c.fill.partition()
+	p := c.dns.partition()
 	for i := range recs {
 		r := recs[i]
 		r.TypeAnswerAddr()
-		l := c.fillLaneFor(&r)
+		l := c.LaneFor(&r)
 		p.lane[l] = append(p.lane[l], r)
 	}
-	return c.fill.offer(p)
+	return c.dns.offer(p)
 }
 
-// OfferFlow places a flow on its correlation lane's LookUp queue, stamping
-// its arrival instant; a false return is a dropped record (stream loss).
-// The lane is chosen by a hash of the destination IP, so flows to the same
-// destination always land on the same lane.
+// OfferFlow places a flow on its lane's flow ring, stamping its arrival
+// instant; a false return is a dropped record (stream loss). The lane is
+// chosen by a hash of the flow's lookup address (Config.Key), so flows
+// resolved by the same address always land on the same lane.
 func (c *Correlator) OfferFlow(fr netflow.FlowRecord) bool {
-	return c.look.lanes[c.laneFor(fr.DstIP)].Offer(flowEntry{fr: fr, at: time.Now()})
+	return c.flows.lanes[c.flowLane(&fr)].Offer(flowEntry{fr: fr, at: time.Now()})
 }
 
-// OfferFlowBatch partitions a batch of flows onto their correlation lanes —
-// one arrival stamp for the whole batch — and returns how many were
-// accepted.
+// OfferFlowBatch partitions a batch of flows onto their lanes — one arrival
+// stamp for the whole batch — and returns how many were accepted.
 func (c *Correlator) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	if len(frs) == 0 {
 		return 0
 	}
 	now := time.Now()
-	p := c.look.partition()
+	p := c.flows.partition()
 	for i := range frs {
-		l := c.laneFor(frs[i].DstIP)
+		l := c.flowLane(&frs[i])
 		p.lane[l] = append(p.lane[l], flowEntry{fr: frs[i], at: now})
 	}
-	return c.look.offer(p)
+	return c.flows.offer(p)
 }
 
 var _ stream.Ingest = (*Correlator)(nil)
 
 // QueueDepths reports the current occupancy of the three stage queues —
 // the "buffer usage" the paper's operators watch to keep loss at zero. The
-// look depth aggregates every correlation lane; LaneDepths has the
-// per-lane breakdown.
+// fill and look depths aggregate every lane; LaneDepths has the per-lane
+// breakdown.
 func (c *Correlator) QueueDepths() (fill, look, write int) {
-	return c.fill.depth(), c.look.depth(), c.write.depth()
+	return c.dns.depth(), c.flows.depth(), c.write.depth()
 }
 
-// LaneDepths reports each correlation lane's lookup-queue occupancy — the
-// skew monitor for the dst-IP partition (a hot destination shows up as one
-// deep lane).
-func (c *Correlator) LaneDepths() []int { return c.look.depths() }
+// LaneDepths reports each lane's DNS and flow ring occupancy — the skew
+// monitor for the address partition (a hot address shows up as one deep
+// lane).
+func (c *Correlator) LaneDepths() (dns, flows []int) { return c.dns.depths(), c.flows.depths() }
 
-// FillLaneFor reports which fill lane rec routes to — the partition
-// inspector behind FillLaneDepths skew debugging (and the repo benchmarks'
-// lane-local batch construction).
-func (c *Correlator) FillLaneFor(rec *stream.DNSRecord) int { return c.fillLaneFor(rec) }
-
-// FillLaneDepths reports each fill lane's queue occupancy — the skew
-// monitor for the answer-address partition.
-func (c *Correlator) FillLaneDepths() []int { return c.fill.depths() }
-
-// Run executes the pipeline: it launches the FillUp, LookUp, and Write
-// workers plus every attached source, then blocks until one of
+// Run executes the pipeline: it launches the lane and Write workers plus
+// every attached source, then blocks until one of
 //
 //   - ctx is cancelled (graceful shutdown request),
 //   - all attached sources complete (end of finite input),
@@ -409,9 +388,9 @@ func (c *Correlator) FillLaneDepths() []int { return c.fill.depths() }
 //     running blind), or
 //   - the sink fails (first WriteBatch error)
 //
-// and performs a graceful drain: sources stop, every stage queue is closed
-// and drained in order, in-flight records reach the sink, and the sink is
-// flushed and closed. Run returns source and sink errors joined;
+// and performs a graceful drain: sources stop, every lane's two rings close
+// and drain, then the write queue, in-flight records reach the sink, and
+// the sink is flushed and closed. Run returns source and sink errors joined;
 // cancellation itself is a clean shutdown, not an error. A Correlator runs
 // at most once.
 func (c *Correlator) Run(ctx context.Context) error {
@@ -419,13 +398,12 @@ func (c *Correlator) Run(ctx context.Context) error {
 		return ErrAlreadyRunning
 	}
 
-	c.fill.start(ingestBatchSize, 0, c.fillWorker)
-	c.look.start(ingestBatchSize, 0, c.lookWorker)
+	c.startLanes()
 	// The drain must finish even after ctx is cancelled: in-flight records
 	// belong to the sink, so sink writes run under an uncancellable child.
 	writeCtx := context.WithoutCancel(ctx)
-	c.write.start(c.cfg.WriteBatchSize, c.cfg.WriteFlushInterval, func(_ int, h *compHealth) func([]CorrelatedFlow) {
-		return func(batch []CorrelatedFlow) { c.writeBatch(writeCtx, h, batch) }
+	c.write.start(c.cfg.WriteWorkers, c.cfg.WriteBatchSize, c.cfg.WriteFlushInterval, func(_ int, h *compHealth, batch []CorrelatedFlow) {
+		c.writeBatch(writeCtx, h, batch)
 	})
 
 	// Sources run under their own cancellable context so that sink
@@ -502,14 +480,15 @@ func (c *Correlator) Run(ctx context.Context) error {
 	}
 	close(c.draining)
 
-	// Graceful drain: stop intake, then close and drain stage by stage.
-	// The intake stages empty before the write stage closes, and the
-	// LookUp→Write handoff blocks rather than drops, so every flow
-	// accepted into any lane reaches the sink exactly once.
+	// Graceful drain: stop intake, close both rings of every lane and wait
+	// for the lane workers to empty them, then drain the write stage. The
+	// lane→Write handoff blocks rather than drops, so every flow accepted
+	// into any lane reaches the sink exactly once.
 	stopSources()
 	wgSrc.Wait()
-	c.fill.drain()
-	c.look.drain()
+	c.dns.close()
+	c.flows.close()
+	c.lanesWG.Wait()
 	c.write.drain()
 	stopMetrics()
 	stopCheckpointer()
@@ -576,48 +555,6 @@ func (c *Correlator) countCheckpoint(err error) {
 	}
 }
 
-// fillWorker is the FillUp stage's batch body: a worker ingests whole
-// batches through its lane's interner and a private assembly scratch, so
-// the clear-up check, the stats updates, and the shard-lock traffic all
-// amortize per batch instead of per record.
-func (c *Correlator) fillWorker(lane int, h *compHealth) func([]stream.DNSRecord) {
-	in, buf := c.interners[lane], new(fillBuf)
-	return func(batch []stream.DNSRecord) { c.ingestGuarded(h, batch, in, buf) }
-}
-
-// lookWorker is the LookUp stage's batch body: correlate every flow, then
-// hand the results to the Write stage with blocking PutBatch, not the
-// dropping OfferBatch — a flow accepted into a lane is already part of the
-// pipeline and must reach the sink; loss is accounted only at intake. This
-// also makes the drain lossless: a full lane queue at cancellation
-// backpressures into the Write workers instead of overflowing the write
-// queue.
-func (c *Correlator) lookWorker(_ int, h *compHealth) func([]flowEntry) {
-	out := make([]CorrelatedFlow, 0, ingestBatchSize)
-	var tally lookTally
-	return func(batch []flowEntry) {
-		out = out[:0]
-		var poisoned uint64
-		for i := range batch {
-			out = append(out, CorrelatedFlow{})
-			cf := &out[len(out)-1]
-			// A record whose correlation panics drops that one output slot —
-			// not the batch, not the worker.
-			if !c.correlateGuarded(h, cf, &batch[i].fr, &tally) {
-				out = out[:len(out)-1]
-				poisoned++
-				continue
-			}
-			cf.EnqueuedAt = batch[i].at
-		}
-		tally.flush(&c.stats)
-		if poisoned != 0 {
-			c.stats.poisoned.Add(poisoned)
-		}
-		c.write.lanes[0].PutBatch(out)
-	}
-}
-
 // writeBatch is the Write stage's batch body: record the write delay, hand
 // the batch to the sink under ctx, and apply the flush policy.
 func (c *Correlator) writeBatch(ctx context.Context, h *compHealth, batch []CorrelatedFlow) {
@@ -674,7 +611,7 @@ func (c *Correlator) failSink(err error) {
 
 // IngestDNS validates one DNS record and fills it into the hashmaps
 // (Algorithm 1). It may be called directly for deterministic offline
-// replays; the async pipeline's fill-lane workers use IngestDNSBatch,
+// replays; the async pipeline's lane workers use IngestDNSBatch's body,
 // which amortizes the clear-up check and the stats updates. A/AAAA answers
 // are keyed by the 16-byte binary address form — the same key LookUp
 // builds from a flow's address — taken straight from the typed Addr field
@@ -701,11 +638,11 @@ func (c *Correlator) IngestDNS(rec stream.DNSRecord) {
 		h := ipHash(&key)
 		// One hash serves lane/interner selection, split labeling, and
 		// shard selection.
-		in := c.interners[c.fillLaneForHash(h)]
+		in := c.interners[c.laneForHash(h)]
 		value := in.intern(dnsname.Normalize(rec.Query))
 		c.ipName.putBytesHash(rec.Timestamp, rec.TTL, h, key[:], value)
 	case dnswire.TypeCNAME:
-		in := c.interners[c.fillLaneForHash(cmap.Hash(rec.Answer))]
+		in := c.interners[c.laneForHash(cmap.Hash(rec.Answer))]
 		value := in.intern(dnsname.Normalize(rec.Query))
 		c.nameCname.put(rec.Timestamp, rec.TTL, in.intern(dnsname.Normalize(rec.Answer)), value)
 	}
@@ -713,7 +650,7 @@ func (c *Correlator) IngestDNS(rec stream.DNSRecord) {
 }
 
 // IngestDNSBatch fills a batch of DNS records (Algorithm 1, batched). It
-// is the fill-lane worker body: per-record counter updates accumulate in a
+// is the lane worker's fill step: per-record counter updates accumulate in a
 // batch-local tally, the store's clear-up clock advances once per batch
 // (at the batch's last accepted record timestamp — streams are delivered
 // in near-arrival order, so the last record is the freshest within
@@ -729,7 +666,7 @@ func (c *Correlator) IngestDNSBatch(recs []stream.DNSRecord) {
 		return
 	}
 	buf := c.fillBufPool.Get().(*fillBuf)
-	c.ingestBatch(recs, c.interners[c.fillLaneFor(&recs[0])], buf)
+	c.ingestBatch(recs, c.interners[c.LaneFor(&recs[0])], buf)
 	c.fillBufPool.Put(buf)
 }
 
@@ -811,8 +748,8 @@ func (c *Correlator) lookupIP(ts time.Time, addr netip.Addr) (string, Tier) {
 
 // CorrelateFlow resolves one flow (Algorithm 2) and returns the correlated
 // record. It may be called directly for deterministic offline replays; the
-// async pipeline's lane workers use the batch form, which amortizes the
-// stats updates.
+// async pipeline's lane workers correlate whole batches, which amortizes
+// the stats updates.
 func (c *Correlator) CorrelateFlow(fr netflow.FlowRecord) CorrelatedFlow {
 	var tally lookTally
 	var cf CorrelatedFlow
@@ -822,8 +759,8 @@ func (c *Correlator) CorrelateFlow(fr netflow.FlowRecord) CorrelatedFlow {
 }
 
 // CorrelateBatch resolves every flow in frs, appending the correlated
-// records to dst and returning the extended slice. It is the LookUp lane
-// worker body: per-flow counter updates accumulate in a local tally that
+// records to dst and returning the extended slice, as the lane workers'
+// LookUp step does: per-flow counter updates accumulate in a local tally that
 // is flushed to the shared stats block once per batch, keeping the hit
 // path free of both allocations and shared-cache-line traffic.
 func (c *Correlator) CorrelateBatch(dst []CorrelatedFlow, frs []netflow.FlowRecord) []CorrelatedFlow {

@@ -297,7 +297,7 @@ func TestMultipleNamesPerIPOverwrite(t *testing.T) {
 
 func TestPipelineEndToEnd(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FillUpWorkers, cfg.LookUpWorkers, cfg.WriteWorkers = 2, 4, 2
+	cfg.WriteWorkers = 2
 	sink := NewCountingSink()
 	c := New(cfg, WithSink(sink))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -518,7 +518,7 @@ func TestConfigNormalization(t *testing.T) {
 	c := New(Config{})
 	cfg := c.Config()
 	if cfg.NumSplit != DefaultNumSplit || cfg.AClearUpInterval != DefaultAClearUpInterval ||
-		cfg.CNAMEChainLimit != DefaultCNAMEChainLimit || cfg.FillUpWorkers <= 0 {
+		cfg.CNAMEChainLimit != DefaultCNAMEChainLimit || cfg.WriteWorkers <= 0 {
 		t.Fatalf("normalized = %+v", cfg)
 	}
 }

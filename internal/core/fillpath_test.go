@@ -202,23 +202,23 @@ func TestIngestDNSBatchMatchesSingle(t *testing.T) {
 
 func TestInterningSharesValueStorage(t *testing.T) {
 	c := New(DefaultConfig())
-	// Interners are per fill lane, so pick two addresses that the answer
+	// Interners are per lane, so pick two addresses that the answer
 	// partition routes to the same lane (cross-lane duplication is by
 	// design: at most one copy of a name per lane).
 	first := "198.51.100.91"
 	probe := aRecTyped(t0, "x", first, 1)
-	lane := c.fillLaneFor(&probe)
+	lane := c.LaneFor(&probe)
 	second := ""
 	for i := 1; i < 250; i++ {
 		ip := fmt.Sprintf("198.51.101.%d", i)
 		r := aRecTyped(t0, "x", ip, 1)
-		if c.fillLaneFor(&r) == lane {
+		if c.LaneFor(&r) == lane {
 			second = ip
 			break
 		}
 	}
 	if second == "" {
-		t.Fatal("no second address on the same fill lane")
+		t.Fatal("no second address on the same lane")
 	}
 	// Two entries for the same service name arrive as two distinct string
 	// allocations, as two decoded wire messages would.
@@ -258,54 +258,31 @@ func TestInternerResetAtCapacity(t *testing.T) {
 	}
 }
 
-// --- fill lanes ---
-
-func TestFillLaneDefaults(t *testing.T) {
-	if got := New(DefaultConfig()).FillLanes(); got != DefaultNumSplit {
-		t.Fatalf("default fill lanes = %d, want %d (mirror lanes)", got, DefaultNumSplit)
-	}
-	cfg := DefaultConfig()
-	cfg.Lanes = 4
-	if got := New(cfg).FillLanes(); got != 4 {
-		t.Fatalf("fill lanes = %d, want Lanes (4)", got)
-	}
-	cfg.FillLanes = 2
-	if got := New(cfg).FillLanes(); got != 2 {
-		t.Fatalf("explicit fill lanes = %d, want 2", got)
-	}
-	nosplit := ConfigForVariant(VariantNoSplit)
-	nosplit.FillLanes = 8
-	if got := New(nosplit).FillLanes(); got != 1 {
-		t.Fatalf("NoSplit fill lanes = %d, want 1", got)
-	}
-	if d := New(DefaultConfig()).FillLaneDepths(); len(d) != DefaultNumSplit {
-		t.Fatalf("FillLaneDepths = %v", d)
-	}
-}
+// --- DNS partition onto lanes ---
 
 func TestFillLanePartitionDeterministic(t *testing.T) {
 	c := New(DefaultConfig())
 	rec := aRecTyped(t0, "svc.example", "198.51.100.77", 300)
-	want := c.fillLaneFor(&rec)
+	want := c.LaneFor(&rec)
 	for i := 0; i < 100; i++ {
 		r := aRecTyped(t0.Add(time.Duration(i)*time.Second), fmt.Sprintf("q%d.example", i), "198.51.100.77", 300)
-		if got := c.fillLaneFor(&r); got != want {
+		if got := c.LaneFor(&r); got != want {
 			t.Fatalf("same answer address landed on lanes %d and %d", want, got)
 		}
 	}
-	// With FillLanes == Lanes, the fill lane owns exactly the splits the
-	// record's store put touches: lane == splitFor's lane component.
+	// The record's lane owns exactly the splits its store put touches:
+	// lane == splitFor's lane component.
 	a16 := rec.Addr.As16()
 	h := ipHash(&a16)
 	split := c.ipName.splitFor(h)
 	if lane := split / c.ipName.perLane; lane != want {
-		t.Fatalf("fill lane %d does not own split %d (lane %d)", want, split, lane)
+		t.Fatalf("lane %d does not own split %d (lane %d)", want, split, lane)
 	}
 }
 
 func TestOfferDNSRoutesAndCounts(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FillLanes = 4
+	cfg.Lanes = 4
 	cfg.FillQueueCap = 64 // 16 per lane
 	c := New(cfg)
 	var recs []stream.DNSRecord
@@ -320,7 +297,7 @@ func TestOfferDNSRoutesAndCounts(t *testing.T) {
 	if fill != 40 {
 		t.Fatalf("fill depth = %d, want 40", fill)
 	}
-	depths := c.FillLaneDepths()
+	depths, _ := c.LaneDepths()
 	total, nonEmpty := 0, 0
 	for _, d := range depths {
 		total += d
@@ -331,14 +308,14 @@ func TestOfferDNSRoutesAndCounts(t *testing.T) {
 	if total != 40 || nonEmpty < 2 {
 		t.Fatalf("lane depths = %v, want 40 spread over >=2 lanes", depths)
 	}
-	if st := c.Stats(); st.FillLanes != 4 || st.FillQueue.Enqueued != 40 {
-		t.Fatalf("stats = FillLanes %d, enqueued %d", st.FillLanes, st.FillQueue.Enqueued)
+	if st := c.Stats(); st.Lanes != 4 || st.FillQueue.Enqueued != 40 {
+		t.Fatalf("stats = Lanes %d, enqueued %d", st.Lanes, st.FillQueue.Enqueued)
 	}
 }
 
 func TestOfferDNSOverflowDropsAndCounts(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FillLanes = 1
+	cfg.Lanes = 1
 	cfg.FillQueueCap = 8
 	c := New(cfg)
 	var recs []stream.DNSRecord
@@ -378,18 +355,18 @@ func TestIngestDNSBatchRejectedRecordsDontAdvanceClock(t *testing.T) {
 
 func TestOfferDNSStringAndTypedRouteSameLane(t *testing.T) {
 	// A string-only producer's record for an address must land on the same
-	// fill lane as a wire source's typed record for it — the offer path
+	// lane as a wire source's typed record for it — the offer path
 	// materializes the typed address before partitioning — so cross-lane
 	// reordering can never break last-write-wins between producers.
 	cfg := DefaultConfig()
-	cfg.FillLanes = 8
+	cfg.Lanes = 8
 	c := New(cfg)
 	typed := aRecTyped(t0, "svc.example", "198.51.100.33", 300)
 	stringOnly := aRec(t0, "svc.example", "198.51.100.33", 300)
 	if !c.OfferDNS(typed) || !c.OfferDNS(stringOnly) {
 		t.Fatal("offers rejected")
 	}
-	depths := c.FillLaneDepths()
+	depths, _ := c.LaneDepths()
 	lanes := 0
 	for _, d := range depths {
 		if d > 0 {

@@ -16,7 +16,7 @@ const defaultInternCap = 1 << 17
 // the frozen table.
 const internPromoteMin = 64
 
-// interner deduplicates the query/answer name strings the FillUp stage
+// interner deduplicates the query/answer name strings the FillUp step
 // stores. Millions of IP-NAME entries point at the same few thousand
 // CDN/service names; without interning every ingested record keeps its own
 // decoder-allocated copy alive in the store, so the heap carries one string
@@ -33,7 +33,7 @@ const internPromoteMin = 64
 // fresh frozen map). The table is a cache, not a registry: when it reaches
 // capacity it resets and rebuilds from live traffic. Entries already
 // stored keep their strings (the store's map values hold them live); only
-// future sharing restarts from empty. Each fill lane owns one interner, so
+// future sharing restarts from empty. Each lane owns one interner, so
 // cross-lane duplication is bounded by the lane count.
 type interner struct {
 	frozen atomic.Pointer[map[string]string]

@@ -19,10 +19,11 @@ func laneFlow(ts time.Time, srcIP, dstIP string, bytes uint64) netflow.FlowRecor
 	}
 }
 
-// TestLanePartitionInvariant pins the partitioning contract: the lane of a
-// flow is a pure function of its destination IP, so flows to the same
-// destination always land on the same lane, and OfferFlow enqueues on
-// exactly that lane's queue.
+// TestLanePartitionInvariant pins the partitioning contract: the lane of an
+// address is a pure function of it, and a flow routes to the lane that owns
+// the split of the address it is resolved by — its source, its
+// destination, or for LookupBoth its source (the first probe) — so OfferFlow
+// enqueues on exactly that lane's flow ring.
 func TestLanePartitionInvariant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Lanes = 8
@@ -59,19 +60,43 @@ func TestLanePartitionInvariant(t *testing.T) {
 		t.Fatalf("256 destinations used only %d of 8 lanes", len(used))
 	}
 
-	// OfferFlow routes onto the owning lane's queue.
-	fr := laneFlow(t0, "198.51.100.1", "203.0.113.77", 100)
-	want := c.laneFor(fr.DstIP)
-	if !c.OfferFlow(fr) {
-		t.Fatal("offer rejected on empty queue")
-	}
-	depths := c.LaneDepths()
-	for i, d := range depths {
-		if i == want && d != 1 {
-			t.Fatalf("lane %d depth = %d, want 1", i, d)
+	for _, key := range []LookupKey{LookupSource, LookupDestination, LookupBoth} {
+		cfg.Key = key
+		c := New(cfg)
+		moved := 0
+		for i := 0; i < 64; i++ {
+			fr := laneFlow(t0, fmt.Sprintf("198.51.100.%d", i+1), fmt.Sprintf("203.0.113.%d", 200-i), 100)
+			addr := fr.SrcIP
+			if key == LookupDestination {
+				addr = fr.DstIP
+			}
+			a16 := addr.As16()
+			owner := c.ipName.splitFor(ipHash(&a16)) / c.ipName.perLane
+			if got := c.flowLane(&fr); got != owner {
+				t.Fatalf("key %v: flow %v→%v on lane %d, its lookup address's split is lane %d's",
+					key, fr.SrcIP, fr.DstIP, got, owner)
+			}
+			if c.laneFor(fr.SrcIP) != c.laneFor(fr.DstIP) {
+				moved++
+			}
+			// OfferFlow routes onto the owning lane's flow ring.
+			_, before := c.LaneDepths()
+			if !c.OfferFlow(fr) {
+				t.Fatal("offer rejected on empty queue")
+			}
+			_, after := c.LaneDepths()
+			for l := range after {
+				want := before[l]
+				if l == owner {
+					want++
+				}
+				if after[l] != want {
+					t.Fatalf("key %v: lane %d depth %d after the offer, want %d", key, l, after[l], want)
+				}
+			}
 		}
-		if i != want && d != 0 {
-			t.Fatalf("lane %d depth = %d, want 0", i, d)
+		if moved == 0 {
+			t.Fatal("test flows never separate source and destination lanes")
 		}
 	}
 }
@@ -90,6 +115,11 @@ func TestLaneDefaults(t *testing.T) {
 	cfg.Lanes = 3
 	if got := cfg.normalized().Lanes; got != 3 {
 		t.Fatalf("explicit lanes = %d, want 3", got)
+	}
+	// A built correlator has one DNS and one flow ring per lane.
+	c := New(DefaultConfig())
+	if dns, flows := c.LaneDepths(); c.Lanes() != DefaultNumSplit || len(dns) != DefaultNumSplit || len(flows) != DefaultNumSplit {
+		t.Fatalf("Lanes() = %d, LaneDepths = %v / %v", c.Lanes(), dns, flows)
 	}
 }
 
@@ -145,7 +175,6 @@ func TestDrainFullLanesDeliversEverything(t *testing.T) {
 	cfg.LookQueueCap = 64 // 16 per lane
 	cfg.WriteQueueCap = 8 // far smaller than the buffered flows: must backpressure
 	cfg.WriteBatchSize = 4
-	cfg.LookUpWorkers = 4
 	c := New(cfg)
 	for i := 0; i < 200; i++ {
 		c.IngestDNS(aRec(t0, fmt.Sprintf("svc%d.example", i),

@@ -42,7 +42,7 @@ func TestServicesLifecycle(t *testing.T) {
 	var corr *Correlator
 	svc.atCancel = func() { drainingAtCancel = corr.Draining() }
 	sink := &recordingSink{}
-	corr = New(Config{Lanes: 1, FillLanes: 1}, WithSink(sink), WithServices(svc, nil))
+	corr = New(Config{Lanes: 1}, WithSink(sink), WithServices(svc, nil))
 
 	if corr.Draining() {
 		t.Fatal("draining before Run")

@@ -205,14 +205,14 @@ func TestSnapshotRestoreDropsExpired(t *testing.T) {
 // with different split/lane layouts: placement is recomputed from the key
 // hash, so the state must stay fully reachable.
 func TestSnapshotRestoreAcrossLayouts(t *testing.T) {
-	src := New(Config{NumSplit: 10, Lanes: 2, FillLanes: 4})
+	src := New(Config{NumSplit: 10, Lanes: 2})
 	recs := genSnapshotWorkload(src, 1000)
 	data := snapshotBytes(t, src)
 
 	for _, cfg := range []Config{
 		{NumSplit: 4, Lanes: 4},
 		{DisableSplit: true},
-		{NumSplit: 32, Lanes: 8, FillLanes: 1},
+		{NumSplit: 32, Lanes: 8},
 	} {
 		c2 := New(cfg)
 		if _, err := c2.Restore(bytes.NewReader(data), snapBase); err != nil {
@@ -341,7 +341,7 @@ func TestNewRestoresFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRestoreReinterns verifies restored names flow through the fill-lane
+// TestRestoreReinterns verifies restored names flow through the lane
 // interners: distinct store entries for one service name share one backing
 // string, as a live-filled store's do.
 func TestRestoreReinterns(t *testing.T) {

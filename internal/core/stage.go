@@ -7,31 +7,24 @@ import (
 	"repro/internal/queue"
 )
 
-// stage is one box of the paper's Figure 1: a bounded queue drained by a
-// pool of workers. FillUp, LookUp and Write are three values of this type;
-// the only code a stage does not share with the others is the body its
-// workers run on each batch they take (see Correlator.fillWorker,
-// lookWorker, writeBatch).
+// stage is one queue of the paper's Figure 1 — FillUp (DNS records), LookUp
+// (flows) or Write — sharded into lanes, with the offer-side partitioning
+// and the counters. The Write stage runs a worker pool on its one lane
+// (start); lane l of FillUp and LookUp is drained by lane l's worker
+// (lane.go), parking on the bell the two queues share.
 //
-// A stage is sharded into lanes, each an independent queue with its own
-// workers, so records the caller partitions onto different lanes never
-// contend on one queue. A lane queue moves whole batches: one offer and one
-// take each cost a single lock round trip however many records they carry,
-// so the stages hand records on in the batches their producers built. The
-// stage's configured capacity is the total buffer, divided evenly across
-// lanes (minimum 1 each): the memory footprint and the configured loss
-// bound do not scale with the lane count. The flip side is that a burst
-// onto one hot lane only gets that lane's share — raise the capacity (and
-// watch depths) for skewed traffic. Every lane measures its own fill
-// against the same sampler watermarks, so a single hot lane starts
-// shedding without waiting for the whole stage to drown.
+// A lane queue moves whole batches, one lock round trip per offer or take.
+// The configured capacity is the stage's total, divided evenly across lanes
+// (minimum 1 each), so memory and the loss bound do not scale with the lane
+// count; a burst onto one hot lane only gets that lane's share. Every lane
+// measures its own fill against the same sampler watermarks, so a single
+// hot lane starts shedding without waiting for the whole stage to drown.
 type stage[T any] struct {
-	comp    string // supervised component the workers' panics count against
-	sup     *supervisor
-	lanes   []*queue.Queue[T]
-	workers int       // configured total; see workersOn
-	parts   sync.Pool // *partition[T]
-	wg      sync.WaitGroup
+	comp  string // supervised component the stage's panics count against
+	sup   *supervisor
+	lanes []*queue.Queue[T]
+	parts sync.Pool // *partition[T]
+	wg    sync.WaitGroup
 }
 
 // partition is the reusable per-lane staging an offered batch is split
@@ -40,10 +33,13 @@ type partition[T any] struct {
 	lane [][]T
 }
 
-func newStage[T any](comp string, sup *supervisor, lanes, capacity, workers int, sampler queue.SamplerConfig) *stage[T] {
-	s := &stage[T]{comp: comp, sup: sup, lanes: make([]*queue.Queue[T], lanes), workers: workers}
-	for i := range s.lanes {
-		s.lanes[i] = queue.New[T](capacity / lanes)
+// newStage builds a stage with one queue per bell, lane l parking its
+// consumers on bells[l].
+func newStage[T any](comp string, sup *supervisor, bells []*queue.Bell, capacity int, sampler queue.SamplerConfig) *stage[T] {
+	lanes := len(bells)
+	s := &stage[T]{comp: comp, sup: sup, lanes: make([]*queue.Queue[T], lanes)}
+	for i, b := range bells {
+		s.lanes[i] = queue.NewWithBell[T](capacity/lanes, b)
 		s.lanes[i].SetSampler(sampler)
 	}
 	s.parts.New = func() any { return &partition[T]{lane: make([][]T, lanes)} }
@@ -71,40 +67,21 @@ func (s *stage[T]) offer(p *partition[T]) int {
 	return accepted
 }
 
-// workersOn returns how many workers drain lane l: the configured total
-// split evenly with the remainder going to the first lanes, and never
-// fewer than one — a lane without a worker would never drain, so with
-// fewer workers than lanes the effective total is the lane count.
-func (s *stage[T]) workersOn(l int) int {
-	n := s.workers / len(s.lanes)
-	if n < 1 {
-		return 1
-	}
-	if l < s.workers%len(s.lanes) {
-		n++
-	}
-	return n
-}
-
-// start launches the stage's workers. newWorker runs once per worker, with
-// the lane it drains and the health block its contained panics count
-// against, and returns that worker's batch body — a closure over whatever
-// private scratch the worker keeps between batches. A worker takes up to
-// max records per queue round trip (lingering up to linger for a partial
-// batch to fill; 0 never waits past the first record), so the queue lock,
-// the body's clock reads and its stats flushes amortize per batch. Several
-// workers on one lane share its doorbell: a worker parks only while the
+// start launches workers consumers on every lane, each running body on the
+// batches it takes: up to max records per queue round trip, lingering up to
+// linger for a partial batch to fill (0 never waits past the first record).
+// The workers on one lane share its bell: a worker parks only while the
 // lane is empty, and one that leaves records behind wakes the next. Workers
-// run supervised: a panic escaping the body is counted and the loop
-// restarted with backoff; the loop ends when the lane is closed and empty.
-func (s *stage[T]) start(max int, linger time.Duration, newWorker func(lane int, h *compHealth) func(batch []T)) {
+// run supervised: a panic escaping body is counted against the stage's
+// component and the loop restarted with backoff; the loop ends when the
+// lane is closed and empty.
+func (s *stage[T]) start(workers, max int, linger time.Duration, body func(lane int, h *compHealth, batch []T)) {
 	h := s.sup.comp(s.comp)
 	for l, q := range s.lanes {
-		for i := s.workersOn(l); i > 0; i-- {
+		for range workers {
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				body := newWorker(l, h)
 				batch := make([]T, 0, max)
 				s.sup.superviseLoop(h, func() {
 					for {
@@ -112,7 +89,7 @@ func (s *stage[T]) start(max int, linger time.Duration, newWorker func(lane int,
 						if batch, ok = q.TakeBatch(batch[:0], max, linger); !ok {
 							return
 						}
-						body(batch)
+						body(l, h, batch)
 					}
 				})
 			}()
@@ -120,11 +97,18 @@ func (s *stage[T]) start(max int, linger time.Duration, newWorker func(lane int,
 	}
 }
 
-// drain closes every lane and waits for the workers to empty them.
-func (s *stage[T]) drain() {
+// close closes every lane: producers' later offers count as dropped, and
+// consumers drain what is buffered.
+func (s *stage[T]) close() {
 	for _, q := range s.lanes {
 		q.Close()
 	}
+}
+
+// drain closes every lane and waits for the stage's own workers to empty
+// them.
+func (s *stage[T]) drain() {
+	s.close()
 	s.wg.Wait()
 }
 

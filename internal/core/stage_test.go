@@ -8,6 +8,15 @@ import (
 	"repro/internal/queue"
 )
 
+// newBells returns n fresh bells, one per lane.
+func newBells(n int) []*queue.Bell {
+	bells := make([]*queue.Bell, n)
+	for i := range bells {
+		bells[i] = queue.NewBell()
+	}
+	return bells
+}
+
 func testSupervisor() *supervisor {
 	return &supervisor{backoffMin: time.Millisecond, backoffMax: time.Millisecond}
 }
@@ -22,46 +31,12 @@ func offerByMod(s *stage[int], items []int) int {
 	return s.offer(p)
 }
 
-// TestStageWorkerSplit pins the even-with-remainder split against the
-// workers a started stage really launches, not just the arithmetic.
-func TestStageWorkerSplit(t *testing.T) {
-	cases := []struct {
-		workers, lanes int
-		want           []int
-	}{
-		{7, 3, []int{3, 2, 2}},
-		{2, 5, []int{1, 1, 1, 1, 1}}, // a lane without a worker would never drain
-		{4, 4, []int{1, 1, 1, 1}},
-		{5, 1, []int{5}},
-	}
-	for _, c := range cases {
-		s := newStage[int]("test", testSupervisor(), c.lanes, 64, c.workers, queue.SamplerConfig{})
-		var mu sync.Mutex
-		launched := make([]int, c.lanes)
-		s.start(8, 0, func(lane int, _ *compHealth) func([]int) {
-			mu.Lock()
-			launched[lane]++
-			mu.Unlock()
-			return func([]int) {}
-		})
-		s.drain() // returns only after every worker ran newWorker and exited
-		for l, want := range c.want {
-			if got := s.workersOn(l); got != want {
-				t.Errorf("%d workers over %d lanes: workersOn(%d) = %d, want %d", c.workers, c.lanes, l, got, want)
-			}
-			if launched[l] != want {
-				t.Errorf("%d workers over %d lanes: lane %d launched %d workers, want %d", c.workers, c.lanes, l, launched[l], want)
-			}
-		}
-	}
-}
-
 // TestStageLedgerSumsOverLanes overloads a sampled stage whose workers have
 // not started, so every lane enqueues, sheds and drops, and requires the
 // aggregated counters to account for every offered record.
 func TestStageLedgerSumsOverLanes(t *testing.T) {
 	sampler := queue.SamplerConfig{LowWater: 0.25, HighWater: 0.75, MaxShed: 0.5}
-	s := newStage[int]("test", testSupervisor(), 3, 48, 3, sampler) // 16 per lane
+	s := newStage[int]("test", testSupervisor(), newBells(3), 48, sampler) // 16 per lane
 	const offered = 600
 	accepted := 0
 	for base := 0; base < offered; base += 20 {
@@ -107,7 +82,7 @@ func TestStageLedgerSumsOverLanes(t *testing.T) {
 // requires every accepted record to reach a worker exactly once.
 func TestStageDrainWithFullLanes(t *testing.T) {
 	const lanes, perLane = 4, 32
-	s := newStage[int]("test", testSupervisor(), lanes, lanes*perLane, 6, queue.SamplerConfig{})
+	s := newStage[int]("test", testSupervisor(), newBells(lanes), lanes*perLane, queue.SamplerConfig{})
 	items := make([]int, 2*lanes*perLane) // twice what fits: the tail drops
 	for i := range items {
 		items[i] = i
@@ -117,16 +92,14 @@ func TestStageDrainWithFullLanes(t *testing.T) {
 	}
 	var mu sync.Mutex
 	seen := map[int]int{}
-	s.start(5, 0, func(lane int, _ *compHealth) func([]int) {
-		return func(batch []int) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, v := range batch {
-				if v%lanes != lane {
-					t.Errorf("record %d taken by lane %d's worker", v, lane)
-				}
-				seen[v]++
+	s.start(2, 5, 0, func(lane int, _ *compHealth, batch []int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, v := range batch {
+			if v%lanes != lane {
+				t.Errorf("record %d taken by lane %d's worker", v, lane)
 			}
+			seen[v]++
 		}
 	})
 	s.drain()
@@ -153,18 +126,16 @@ func TestStageDrainWithFullLanes(t *testing.T) {
 // counted and the worker loop restarted; later batches still drain.
 func TestStageWorkerRestartsAfterPanic(t *testing.T) {
 	sup := testSupervisor()
-	s := newStage[int]("test", sup, 1, 16, 1, queue.SamplerConfig{})
+	s := newStage[int]("test", sup, newBells(1), 16, queue.SamplerConfig{})
 	var mu sync.Mutex
 	delivered := 0
-	s.start(1, 0, func(int, *compHealth) func([]int) {
-		return func(batch []int) {
-			if batch[0] == 0 {
-				panic("poisoned batch")
-			}
-			mu.Lock()
-			delivered += len(batch)
-			mu.Unlock()
+	s.start(1, 1, 0, func(_ int, _ *compHealth, batch []int) {
+		if batch[0] == 0 {
+			panic("poisoned batch")
 		}
+		mu.Lock()
+		delivered += len(batch)
+		mu.Unlock()
 	})
 	offerByMod(s, []int{0, 1, 2, 3})
 	s.drain()

@@ -43,7 +43,7 @@ type statsCounters struct {
 	chain [maxChainBucket]atomic.Uint64
 }
 
-// lookTally is a LookUp worker's batch-local counter block. Workers
+// lookTally is a lane worker's batch-local LookUp counter block. Workers
 // accumulate per-flow counts here and flush once per batch, amortizing the
 // shared atomic updates (and their cache-line traffic) over the batch —
 // one of the two costs, with key allocation, that the sharded-lane design
@@ -162,14 +162,12 @@ type Stats struct {
 	// checkpointer, services), sorted by component name.
 	Supervised []SupervisedStatus
 
-	// FillQueue aggregates every fill lane's queue and LookQueue every
-	// correlation lane's; FillLanes and Lanes are the lane counts behind
-	// them.
+	// FillQueue aggregates every lane's DNS ring and LookQueue every lane's
+	// flow ring; Lanes is the lane count behind them.
 	FillQueue  queue.Stats
 	LookQueue  queue.Stats
 	WriteQueue queue.Stats
 	Lanes      int
-	FillLanes  int
 }
 
 // CorrelationRate returns correlated bytes over total bytes — the paper's
@@ -238,11 +236,10 @@ func (c *Correlator) Stats() Stats {
 		CheckpointErrors:   c.stats.checkpointErrors.Load(),
 		RestoredEntries:    uint64(c.restoreStats.Entries),
 		RestoredExpired:    uint64(c.restoreStats.Expired),
-		FillQueue:          c.fill.stats(),
-		LookQueue:          c.look.stats(),
+		FillQueue:          c.dns.stats(),
+		LookQueue:          c.flows.stats(),
 		WriteQueue:         c.write.stats(),
-		Lanes:              len(c.look.lanes),
-		FillLanes:          len(c.fill.lanes),
+		Lanes:              c.Lanes(),
 	}
 	for i := range st.ChainHist {
 		st.ChainHist[i] = c.stats.chain[i].Load()

@@ -40,11 +40,12 @@ func (t Tier) String() string {
 //
 // Splits are laid out lane-major: the split index of a key is
 // (laneOf(key) * perLane) + withinLane(key), with laneOf derived from the
-// same hash the correlator uses to partition flows onto correlation lanes.
-// When lookups route by the partition address (LookupDestination), every
-// split slice [lane*perLane, (lane+1)*perLane) is read by exactly one
-// lane's workers, so concurrent LookUp workers never contend on the same
-// generation shards.
+// same hash the correlator uses to partition DNS records and flows onto
+// lanes. Both route by the address the store is keyed by (a flow by its
+// lookup address), so every split slice [lane*perLane, (lane+1)*perLane)
+// is filled and read by exactly one lane's worker, and concurrent lane
+// workers never contend on the same generation shards. LookupBoth's
+// destination fallback is the one cross-lane read.
 type store struct {
 	active   []*cmap.Map
 	inactive []*cmap.Map

@@ -13,7 +13,8 @@ import (
 	"repro/internal/stream"
 )
 
-// Stage-worker component names under supervision. Services appear as
+// Component names under supervision: a lane worker's fill and look steps,
+// the Write workers, and the checkpointer. Services appear as
 // "service:<Name>".
 const (
 	compFill       = "fill"
@@ -124,7 +125,7 @@ func (s *supervisor) nextBackoff(d time.Duration) time.Duration {
 
 // superviseLoop runs body until it returns normally, restarting it with
 // exponential backoff after each contained panic. Worker bodies return
-// normally when their stage queue closes, so a healthy drain always ends
+// normally when their queues are closed and drained, so a healthy drain always ends
 // the loop; the backoff only engages on the abnormal path.
 func (s *supervisor) superviseLoop(h *compHealth, body func()) {
 	backoff := s.backoffMin
@@ -162,7 +163,7 @@ func (s *supervisor) serve(ctx context.Context, svc Service) error {
 	}
 }
 
-// ingestGuarded is the fill worker's contained ingestBatch. ingestBatch
+// ingestGuarded is the lane worker's contained ingestBatch. ingestBatch
 // flushes its stats tally only after the whole batch lands, and store
 // inserts are idempotent last-write-wins puts, so on a contained panic the
 // batch is reprocessed record-at-a-time: every healthy record is applied
@@ -178,7 +179,7 @@ func (c *Correlator) ingestGuarded(h *compHealth, batch []stream.DNSRecord, in *
 	}
 }
 
-// correlateGuarded is the look worker's contained per-record correlation.
+// correlateGuarded is the lane worker's contained per-record correlation.
 // It reports whether the record correlated normally; a contained panic
 // leaves cf unusable and the caller drops that one output slot. The
 // failpoint fires before any tally mutation, so a poisoned record is

@@ -15,13 +15,12 @@ import (
 	"repro/internal/stream"
 )
 
-// superviseConfig is a small deterministic pipeline: one lane per stage so
-// batches are not partitioned, and a fast restart backoff so supervised
-// restarts do not slow tests down.
+// superviseConfig is a small deterministic pipeline: one lane so batches
+// are not partitioned, one Write worker, and a fast restart backoff so
+// supervised restarts do not slow tests down.
 func superviseConfig() Config {
 	return Config{
-		Lanes: 1, FillLanes: 1,
-		FillUpWorkers: 1, LookUpWorkers: 1, WriteWorkers: 1,
+		Lanes: 1, WriteWorkers: 1,
 		RestartBackoffMin: time.Millisecond,
 		RestartBackoffMax: 2 * time.Millisecond,
 	}

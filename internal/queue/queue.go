@@ -10,16 +10,17 @@
 // record, so the implementation keeps precise atomic counters.
 //
 // A Queue is a fixed ring buffer under one mutex that moves whole batches:
-// OfferBatch and PutBatch copy a batch in, and TakeBatch copies up to max
-// records out, each under a single lock acquisition, so a record costs a
+// OfferBatch and PutBatch copy a batch in, and TakeBatch or Poll copy up to
+// max records out, each under a single lock acquisition, so a record costs a
 // copy rather than a synchronized channel operation. Consumers park on a
-// one-slot doorbell channel only when the ring is empty (or while lingering
-// for stragglers). A producer rings the doorbell only while some consumer is
-// parked, and a consumer that leaves records behind — or finds the queue
-// closed — rings it again, so any number of consumers on one queue share a
-// single doorbell without losing a wakeup, and one ring from Close reaches
-// them all. A PutBatch waiting for space waits on a condition variable that
-// consumers signal as they free slots.
+// Bell only when the ring is empty (or while lingering for stragglers). A
+// producer rings the bell only while some consumer is parked, and a
+// TakeBatch consumer that leaves records behind — or finds the queue closed
+// — rings it again, so any number of consumers on one queue share a single
+// bell without losing a wakeup, and one ring from Close reaches them all.
+// Several queues may share one bell (NewWithBell) when one consumer drains
+// them all: it parks once for every queue. A PutBatch waiting for space
+// waits on a condition variable that consumers signal as they free slots.
 package queue
 
 import (
@@ -96,25 +97,57 @@ func (c SamplerConfig) rate(fill float64) float64 {
 	return c.MaxShed * (fill - c.LowWater) / (c.HighWater - c.LowWater)
 }
 
+// Bell is the doorbell consumers park on while their queues are empty: a
+// queue's own (New) or one shared by queues a single consumer drains
+// (NewWithBell). No wakeup is lost: a producer publishes its records (the
+// queue's atomic length) and then loads parked, a consumer increments
+// parked and then re-checks the lengths; Go's atomics are sequentially
+// consistent, so one of them sees the other.
+type Bell struct {
+	parked atomic.Int32  // consumers between deciding to park and waking
+	ch     chan struct{} // one slot: rings while a token is pending coalesce
+}
+
+// NewBell returns a bell with no consumer parked.
+func NewBell() *Bell { return &Bell{ch: make(chan struct{}, 1)} }
+
+// Ring wakes one parked consumer, if any; it never blocks or allocates.
+func (b *Bell) Ring() {
+	if b.parked.Load() > 0 {
+		select {
+		case b.ch <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Wait parks the caller until a ring, unless ready (called once the caller
+// counts as parked, so it may read only the queues' Len and Drained)
+// reports work. Wakeups may be spurious: callers re-check their queues.
+func (b *Bell) Wait(ready func() bool) {
+	b.parked.Add(1)
+	if !ready() {
+		<-b.ch
+	}
+	b.parked.Add(-1)
+}
+
 // Queue is a bounded FIFO of values of type T. Producers never block on
 // Offer/OfferBatch: when the buffer is full the record is dropped and the
 // drop counter incremented, mirroring the stream-buffer semantics of the
 // paper's data feeds. PutBatch is the blocking, lossless form for
 // inter-stage handoffs. Consumers block in TakeBatch until a record arrives
-// or the queue is closed and drained.
+// or the queue is closed and drained, or Poll without waiting.
 type Queue[T any] struct {
 	mu      sync.Mutex
 	ring    []T // fixed capacity; records sit at ring[head:head+n], wrapping
 	head    int
 	n       int       // records buffered
-	closed  bool      // set once by Close; producers count later records as dropped
-	parked  int       // consumers between releasing mu and waking from bell
 	putters int       // PutBatch calls waiting on space
 	space   sync.Cond // on mu; broadcast by pop while putters > 0, and by Close
+	bell    *Bell     // parked consumers wait here, maybe with other queues'
 
-	// bell is the one-slot doorbell parked consumers wait on.
-	bell chan struct{}
-
+	closed   atomic.Bool  // set under mu by Close; later offers count as dropped
 	size     atomic.Int64 // copy of n for Len/Fill without the lock
 	enqueued atomic.Uint64
 	dropped  atomic.Uint64
@@ -131,15 +164,19 @@ type Queue[T any] struct {
 	shedAcc uint64
 }
 
-// New returns a queue with the given buffer capacity (minimum 1). The ring
-// is allocated up front, at its full capacity.
-func New[T any](capacity int) *Queue[T] {
+// New returns a queue with the given buffer capacity (minimum 1) and a bell
+// of its own. The ring is allocated up front, at its full capacity.
+func New[T any](capacity int) *Queue[T] { return NewWithBell[T](capacity, NewBell()) }
+
+// NewWithBell is New with consumers parking on b. A bell shared by several
+// queues must have one consumer, parking through Bell.Wait.
+func NewWithBell[T any](capacity int, b *Bell) *Queue[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	q := &Queue[T]{
 		ring: make([]T, capacity),
-		bell: make(chan struct{}, 1),
+		bell: b,
 	}
 	q.space.L = &q.mu
 	return q
@@ -223,15 +260,6 @@ func (q *Queue[T]) pop(buf []T, max int) []T {
 	return buf
 }
 
-// wake rings the doorbell for one parked consumer; if it already holds a
-// token, that token wakes one just the same.
-func (q *Queue[T]) wake() {
-	select {
-	case q.bell <- struct{}{}:
-	default:
-	}
-}
-
 // Offer attempts a non-blocking enqueue. It reports whether the queue took
 // responsibility for the record; a false return means the record was
 // dropped and counted as loss. Offer on a closed queue counts the record
@@ -278,30 +306,25 @@ func (q *Queue[T]) enqueue(vs []T, block bool) int {
 	}
 	q.mu.Lock()
 	shed := 0
-	if !q.closed {
+	if !q.closed.Load() {
 		shed = q.planShed(len(vs))
 	}
 	vs = vs[shed:]
 	accepted := 0
-	for !q.closed {
+	for !q.closed.Load() {
 		accepted += q.push(vs[accepted:])
 		if accepted == len(vs) || !block {
 			break
 		}
 		// The ring is full: make sure a consumer is draining it, then wait.
-		if q.parked > 0 {
-			q.wake()
-		}
+		q.bell.Ring()
 		q.putters++
 		q.space.Wait()
 		q.putters--
 	}
-	notify := accepted > 0 && q.parked > 0
 	q.mu.Unlock()
-	if notify {
-		q.wake()
-	}
 	if accepted > 0 {
+		q.bell.Ring()
 		q.enqueued.Add(uint64(accepted))
 	}
 	if d := len(vs) - accepted; d > 0 {
@@ -329,32 +352,33 @@ func (q *Queue[T]) TakeBatch(buf []T, max int, wait time.Duration) ([]T, bool) {
 	for {
 		buf = q.pop(buf, start+max-len(buf))
 		got := len(buf) - start
-		if got == max || q.closed || expired || (got > 0 && wait <= 0) {
+		if got == max || q.closed.Load() || expired || (got > 0 && wait <= 0) {
 			break
 		}
-		q.parked++
+		q.bell.parked.Add(1) // before mu is released: the next producer rings
 		q.mu.Unlock()
 		if got == 0 {
-			<-q.bell
+			<-q.bell.ch
 		} else {
 			if timer == nil {
 				timer = time.NewTimer(wait)
 			}
 			select {
-			case <-q.bell:
+			case <-q.bell.ch:
 			case <-timer.C:
 				expired = true
 			}
 		}
 		q.mu.Lock()
-		q.parked--
+		q.bell.parked.Add(-1)
 	}
 	// Records left behind, or the close, concern the other parked
 	// consumers too: pass the wake on.
-	if (q.n > 0 || q.closed) && q.parked > 0 {
-		q.wake()
-	}
+	passOn := q.n > 0 || q.closed.Load()
 	q.mu.Unlock()
+	if passOn {
+		q.bell.Ring()
+	}
 	if timer != nil {
 		timer.Stop()
 	}
@@ -366,22 +390,38 @@ func (q *Queue[T]) TakeBatch(buf []T, max int, wait time.Duration) ([]T, bool) {
 	return buf, true
 }
 
+// Poll appends up to max buffered records to buf without waiting; on an
+// empty queue it costs one atomic load and no lock.
+func (q *Queue[T]) Poll(buf []T, max int) []T {
+	if q.size.Load() == 0 {
+		return buf
+	}
+	start := len(buf)
+	q.mu.Lock()
+	buf = q.pop(buf, max)
+	q.mu.Unlock()
+	if taken := len(buf) - start; taken > 0 {
+		q.dequeued.Add(uint64(taken))
+	}
+	return buf
+}
+
 // Close marks the queue as complete: later offers count as dropped, and
-// consumers drain the remaining records and then observe ok == false.
-// Close is idempotent.
+// consumers drain the remaining records and then observe ok == false (or
+// Drained). Close is idempotent.
 func (q *Queue[T]) Close() {
 	q.mu.Lock()
-	q.closed = true
+	q.closed.Store(true)
 	q.space.Broadcast()
-	notify := q.parked > 0
 	q.mu.Unlock()
-	if notify {
-		q.wake()
-	}
+	q.bell.Ring()
 }
 
 // Len returns the number of buffered records.
 func (q *Queue[T]) Len() int { return int(q.size.Load()) }
+
+// Drained reports whether the queue is closed and empty.
+func (q *Queue[T]) Drained() bool { return q.closed.Load() && q.size.Load() == 0 }
 
 // Cap returns the buffer capacity.
 func (q *Queue[T]) Cap() int { return len(q.ring) }

@@ -18,12 +18,8 @@ func take[T any](q *Queue[T]) (v T, ok bool) {
 	return v, ok
 }
 
-// parkedNow reads how many consumers are parked on the doorbell.
-func (q *Queue[T]) parkedNow() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.parked
-}
+// parkedNow reads how many consumers are parked on the queue's bell.
+func (q *Queue[T]) parkedNow() int { return int(q.bell.parked.Load()) }
 
 // waitParked returns once n consumers are parked on q: the event a test
 // waits for instead of sleeping until a consumer has probably blocked.
@@ -562,5 +558,147 @@ func TestBatchOpsAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s+TakeBatch(wait>0): %.1f allocs/op, want 0", c.name, allocs)
 		}
+	}
+}
+
+// laneConsumer is the one consumer of two queues sharing a bell: it polls
+// both, parks through Bell.Wait only when both are empty, and returns once
+// both are closed and drained. Every record it takes goes to got.
+func laneConsumer(a, b *Queue[int], bell *Bell, got chan<- int) {
+	ready := func() bool { return a.Len() > 0 || b.Len() > 0 || a.Drained() && b.Drained() }
+	buf := make([]int, 0, 8)
+	for {
+		buf = a.Poll(buf[:0], 8)
+		buf = b.Poll(buf, 8)
+		for _, v := range buf {
+			got <- v
+		}
+		if len(buf) == 0 {
+			if a.Drained() && b.Drained() {
+				close(got)
+				return
+			}
+			bell.Wait(ready)
+		}
+	}
+}
+
+// recv returns the next value the consumer forwarded, failing the test if
+// it never arrives: a lost wakeup shows up as this timeout.
+func recv(t *testing.T, got <-chan int) (int, bool) {
+	t.Helper()
+	select {
+	case v, ok := <-got:
+		return v, ok
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked consumer never woke")
+		return 0, false
+	}
+}
+
+// A consumer parked on a bell shared by two queues is woken by a producer
+// on either of them.
+func TestSharedBellWakeOnEitherQueue(t *testing.T) {
+	bell := NewBell()
+	a, b := NewWithBell[int](8, bell), NewWithBell[int](8, bell)
+	got := make(chan int)
+	go laneConsumer(a, b, bell, got)
+	for i, q := range []*Queue[int]{a, b, b, a} {
+		waitParked(q, 1)
+		q.Offer(i)
+		if v, _ := recv(t, got); v != i {
+			t.Fatalf("got %d, want %d", v, i)
+		}
+	}
+	a.Close()
+	b.Close()
+	if _, ok := recv(t, got); ok {
+		t.Fatal("consumer kept running after both queues drained")
+	}
+}
+
+// Closing one of the two queues does not end the consumer, or set it
+// spinning; closing the second wakes it for good.
+func TestSharedBellWakeOnCloseOfBoth(t *testing.T) {
+	bell := NewBell()
+	a, b := NewWithBell[int](8, bell), NewWithBell[int](8, bell)
+	got := make(chan int)
+	go laneConsumer(a, b, bell, got)
+	waitParked(a, 1)
+	a.Close()
+	waitParked(a, 1) // woke for the close, found b open, parked again
+	b.Offer(7)
+	if v, ok := recv(t, got); !ok || v != 7 {
+		t.Fatalf("got %d,%v after one close; want 7,true", v, ok)
+	}
+	waitParked(b, 1)
+	b.Close()
+	if _, ok := recv(t, got); ok {
+		t.Fatal("consumer kept running after both queues closed")
+	}
+}
+
+// Many producers on both queues against one parked-and-woken consumer:
+// every accepted record arrives, so no ring is ever lost.
+func TestSharedBellWakeConcurrent(t *testing.T) {
+	const producers, each = 4, 2000
+	bell := NewBell()
+	a, b := NewWithBell[int](16, bell), NewWithBell[int](16, bell)
+	got := make(chan int, 64)
+	go laneConsumer(a, b, bell, got)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		q := a
+		if p%2 == 1 {
+			q = b
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				for !q.Offer(i) {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		a.Close()
+		b.Close()
+	}()
+	n := 0
+	for {
+		if _, ok := recv(t, got); !ok {
+			break
+		}
+		n++
+	}
+	if n != producers*each {
+		t.Fatalf("consumer took %d records, want %d", n, producers*each)
+	}
+}
+
+// Moving batches through queues on a shared bell, and the Wait that finds
+// work without parking, allocate nothing.
+func TestSharedBellWakeAllocFree(t *testing.T) {
+	bell := NewBell()
+	a, b := NewWithBell[int](64, bell), NewWithBell[int](64, bell)
+	ready := func() bool { return a.Len() > 0 || b.Len() > 0 }
+	in := make([]int, 16)
+	buf := make([]int, 0, 32)
+	allocs := testing.AllocsPerRun(100, func() {
+		a.OfferBatch(in)
+		b.PutBatch(in)
+		bell.Wait(ready)
+		buf = a.Poll(buf[:0], 16)
+		buf = b.Poll(buf, 16)
+		bell.Ring()
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs/op, want 0", allocs)
+	}
+	if len(buf) != 32 {
+		t.Fatalf("polled %d records, want 32", len(buf))
 	}
 }

@@ -14,7 +14,7 @@
 // A section holds entries of one (family, generation, split, key space)
 // store cell; the writer rotates a large cell into more sections at
 // frame.MaxSection, which also gives a restoring correlator units to fan out
-// across its fill lanes. exp is the absolute expiry in UnixNano (0 = never),
+// across its lanes. exp is the absolute expiry in UnixNano (0 = never),
 // as the store's cmap entries carry it, so restore drops expired entries
 // without re-deriving TTLs.
 package snapshot

@@ -67,7 +67,7 @@ func (r *DNSRecord) IsValid() bool {
 
 // TypeAnswerAddr materializes the typed address of a string-only A/AAAA
 // record in place: one parse at offer time instead of one per ingest.
-// The correlator's fill lanes and the cluster router both key on the
+// The correlator's lanes and the cluster router both key on the
 // typed address, so calling this before either makes records for the same
 // IP route alike no matter which producer built them. Unparsable answers
 // are left as-is (the §3.2 filter rejects them at ingest).

@@ -105,15 +105,18 @@ func TestDNSListenerIdleTimeoutPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wedged.Close()
+	// The stream counts the timeout before the listener reports it, so
+	// wait for both under one deadline instead of reading the second once.
 	deadline := time.Now().Add(5 * time.Second)
-	for l.Stats().Timeouts == 0 {
+	for l.Stats().Timeouts == 0 || streamErrs.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("wedged stream never timed out")
+			t.Fatalf("wedged stream: timeouts = %d, OnStreamError calls = %d, want 1 each",
+				l.Stats().Timeouts, streamErrs.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if streamErrs.Load() != 1 {
-		t.Fatalf("OnStreamError calls = %d, want 1", streamErrs.Load())
+	if st, n := l.Stats().Timeouts, streamErrs.Load(); st != 1 || n != 1 {
+		t.Fatalf("timeouts = %d, OnStreamError calls = %d, want 1 each", st, n)
 	}
 
 	// The listener survived: a healthy client still gets through.

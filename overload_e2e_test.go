@@ -30,7 +30,6 @@ import (
 func undersizedConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Lanes = 2
-	cfg.FillLanes = 2
 	cfg.FillQueueCap = 64 // 32 per lane
 	cfg.LookQueueCap = 64
 	cfg.WriteQueueCap = 1024

@@ -38,7 +38,6 @@ func TestKillAndResumePipeline(t *testing.T) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Lanes = 4
-		cfg.FillLanes = 4
 		cfg.SnapshotPath = snapPath
 		cfg.SnapshotEvery = 50 * time.Millisecond // exercise the periodic checkpointer too
 		c := core.New(cfg, core.WithSources(stream.NewDNSListener(dnsLn)))
@@ -192,7 +191,6 @@ func TestLoopbackSoak(t *testing.T) {
 	snapPath := filepath.Join(t.TempDir(), "store.snapshot")
 	cfg := core.DefaultConfig()
 	cfg.Lanes = 8
-	cfg.FillLanes = 8
 	cfg.SnapshotPath = snapPath
 	cfg.SnapshotEvery = 250 * time.Millisecond // stress checkpoint-vs-fill concurrency
 	sink := core.NewCountingSink()
