@@ -20,9 +20,7 @@ type benchFlowCounter struct {
 	n atomic.Uint64
 }
 
-func (c *benchFlowCounter) OfferDNS(stream.DNSRecord) bool         { return true }
 func (c *benchFlowCounter) OfferDNSBatch(r []stream.DNSRecord) int { return len(r) }
-func (c *benchFlowCounter) OfferFlow(netflow.FlowRecord) bool      { c.n.Add(1); return true }
 func (c *benchFlowCounter) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	c.n.Add(uint64(len(frs)))
 	return len(frs)

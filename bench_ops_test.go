@@ -9,7 +9,7 @@ import (
 
 // BenchmarkInfluxEncode measures the line-protocol encoding of one
 // correlated flow — the per-record cost the influx sink adds on top of the
-// Write workers' batching. The buffer is reused across iterations, as the
+// lanes' batching. The buffer is reused across iterations, as the
 // sink reuses its batch buffer; the encode path must stay allocation-free.
 //
 //	go test -bench=BenchmarkInfluxEncode -benchmem .

@@ -72,11 +72,11 @@ func runExperiment(b *testing.B, id string, scale float64, metrics []string) {
 // --- batched-vs-per-record sink write path (API v2 redesign) ---
 //
 // The v1 Sink wrote one record per call behind a mutex with fmt.Fprintf;
-// the v2 Write workers hand the sink size/time-bounded batches that
-// amortize one lock acquisition and one buffered write per batch.
+// the lane workers hand the sink one correlated batch per round, which
+// amortizes one lock acquisition and one buffered write per batch.
 // BenchmarkSinkWrite/per-record-v1 replicates the old cost model;
-// /batch=1 isolates the interface change; /batch=64 and /batch=256 are
-// the deployed path. Run with:
+// /batch=1 isolates the interface change; /batch=64 and /batch=256
+// bracket the deployed path (a lane round hands the sink up to 128). Run with:
 //
 //	go test -bench=BenchmarkSinkWrite -benchmem .
 
@@ -193,9 +193,9 @@ func BenchmarkSinkWrite(b *testing.B) {
 	})
 }
 
-// BenchmarkPipelineBatchedWrites measures the full async pipeline with the
-// v2 batched write path: offered records per second from ingest façade to
-// sink across all stages.
+// BenchmarkPipelineBatchedWrites measures the full async pipeline on the
+// lane path: offered flows per second from the ingest façade through the
+// lanes, which correlate and hand each round's batch to the sink.
 func BenchmarkPipelineBatchedWrites(b *testing.B) {
 	const services = 512
 	t0 := time.Unix(1653475200, 0)
@@ -209,57 +209,49 @@ func BenchmarkPipelineBatchedWrites(b *testing.B) {
 			Packets: 10, Bytes: 1500,
 		}
 	}
-	for _, batch := range []int{1, 256} {
-		b.Run(fmt.Sprintf("writeBatch=%d", batch), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.WriteBatchSize = batch
-			cfg.WriteFlushInterval = time.Millisecond
-			c := core.New(cfg, core.WithSink(core.NewTSVSink(io.Discard)))
-			ctx, cancel := context.WithCancel(context.Background())
-			runDone := make(chan error, 1)
-			go func() { runDone <- c.Run(ctx) }()
-			for i := 0; i < services; i++ {
-				c.OfferDNS(benchDNSRecord(t0, i))
-			}
-			for c.Stats().DNSRecords < services {
-				time.Sleep(time.Millisecond)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			// Offer with backpressure (never drop) and time until the sink
-			// has written everything, so the measurement is true
-			// ingest-to-sink throughput, not queue-offer cost.
-			var offered uint64
-			// Flows route by source IP (the default lookup key), and each
-			// lane's flow ring holds only its 1/Lanes() share of
-			// LookQueueCap: throttle on the deepest lane, not on the stage's
-			// total depth.
-			laneHalf := cfg.LookQueueCap / c.Lanes() / 2
-			for i := 0; i < b.N; i += 512 {
-				for {
-					_, _, write := c.QueueDepths()
-					_, lanes := c.LaneDepths()
-					if slices.Max(lanes) < laneHalf && write < cfg.WriteQueueCap/2 {
-						break
-					}
-					time.Sleep(10 * time.Microsecond)
-				}
-				offered += uint64(c.OfferFlowBatch(flows[:512]))
-			}
-			for c.Stats().Written < offered {
-				// A drop between the queues would make Written permanently
-				// short of offered; fail instead of hanging.
-				if st := c.Stats(); st.LookQueue.Dropped+st.WriteQueue.Dropped > 0 {
-					b.Fatalf("benchmark dropped records (look=%d write=%d); backpressure broken",
-						st.LookQueue.Dropped, st.WriteQueue.Dropped)
-				}
-				time.Sleep(50 * time.Microsecond)
-			}
-			b.StopTimer()
-			cancel()
-			<-runDone
-		})
+	cfg := core.DefaultConfig()
+	c := core.New(cfg, core.WithSink(core.NewTSVSink(io.Discard)))
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- c.Run(ctx) }()
+	dns := make([]stream.DNSRecord, services)
+	for i := range dns {
+		dns[i] = benchDNSRecord(t0, i)
 	}
+	c.OfferDNSBatch(dns)
+	for c.Stats().DNSRecords < services {
+		time.Sleep(time.Millisecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	// Offer with backpressure (never drop) and time until the sink has
+	// written everything, so the measurement is true ingest-to-sink
+	// throughput, not queue-offer cost.
+	var offered uint64
+	// Flows route by source IP (the default lookup key), and each lane's
+	// flow ring holds only its 1/Lanes() share of LookQueueCap: throttle on
+	// the deepest lane, not on the total depth.
+	laneHalf := cfg.LookQueueCap / c.Lanes() / 2
+	for i := 0; i < b.N; i += 512 {
+		for {
+			if _, lanes := c.LaneDepths(); slices.Max(lanes) < laneHalf {
+				break
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+		offered += uint64(c.OfferFlowBatch(flows[:512]))
+	}
+	for c.Stats().Written < offered {
+		// A drop would make Written permanently short of offered; fail
+		// instead of hanging.
+		if st := c.Stats(); st.LookQueue.Dropped > 0 {
+			b.Fatalf("benchmark dropped records (look=%d); backpressure broken", st.LookQueue.Dropped)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	b.StopTimer()
+	cancel()
+	<-runDone
 }
 
 // BenchmarkRollupObserve measures the attribution-rollup hot path. It is

@@ -30,9 +30,6 @@ func chaosConfig() core.Config {
 	cfg.Lanes = 2
 	cfg.FillQueueCap = 512
 	cfg.LookQueueCap = 512
-	cfg.WriteQueueCap = 1024
-	cfg.WriteBatchSize = 32
-	cfg.WriteFlushInterval = 5 * time.Millisecond
 	cfg.SampleLowWater = 0.5
 	cfg.SampleHighWater = 0.9
 	return cfg
@@ -166,7 +163,7 @@ func TestChaosPipelineE2E(t *testing.T) {
 	}
 
 	// Panic containment: exactly the armed budget of records poisoned, each
-	// missing from the write stage but present in the supervision counters.
+	// missing from the sink but present in the supervision counters.
 	if st.Poisoned != lookPanics {
 		t.Fatalf("Poisoned = %d, want %d", st.Poisoned, lookPanics)
 	}
@@ -185,12 +182,9 @@ func TestChaosPipelineE2E(t *testing.T) {
 	if got := faultHits(t, "core.look.record"); got != lookPanics {
 		t.Fatalf("core.look.record hits = %d, want %d", got, lookPanics)
 	}
-	if st.WriteQueue.Offered() != st.LookQueue.Dequeued-st.Poisoned {
-		t.Fatalf("write offered %d != look dequeued %d - poisoned %d",
-			st.WriteQueue.Offered(), st.LookQueue.Dequeued, st.Poisoned)
-	}
-	if st.Written != st.WriteQueue.Dequeued {
-		t.Fatalf("written %d != write queue dequeued %d", st.Written, st.WriteQueue.Dequeued)
+	if st.Written != st.LookQueue.Dequeued-st.Poisoned {
+		t.Fatalf("written %d != look dequeued %d - poisoned %d",
+			st.Written, st.LookQueue.Dequeued, st.Poisoned)
 	}
 
 	// Sink-outage reconciliation: every record handed to the retry wrapper
@@ -348,12 +342,9 @@ func TestChaosSoak(t *testing.T) {
 	if srcStats.Dropped != st.LookQueue.Dropped {
 		t.Fatalf("source dropped %d != look queue Dropped %d", srcStats.Dropped, st.LookQueue.Dropped)
 	}
-	if st.WriteQueue.Offered() != st.LookQueue.Dequeued-st.Poisoned {
-		t.Fatalf("write offered %d != look dequeued %d - poisoned %d",
-			st.WriteQueue.Offered(), st.LookQueue.Dequeued, st.Poisoned)
-	}
-	if st.Written != st.WriteQueue.Dequeued {
-		t.Fatalf("written %d != write queue dequeued %d", st.Written, st.WriteQueue.Dequeued)
+	if st.Written != st.LookQueue.Dequeued-st.Poisoned {
+		t.Fatalf("written %d != look dequeued %d - poisoned %d",
+			st.Written, st.LookQueue.Dequeued, st.Poisoned)
 	}
 	if st.Written != rstats.Delivered+uint64(rstats.SpillDepth)+rstats.Dropped {
 		t.Fatalf("retry ledger does not reconcile: written %d, delivered %d + depth %d + dropped %d",

@@ -233,7 +233,7 @@ func waitCond(t *testing.T, what string, timeout time.Duration, cond func() bool
 // healthLoss is the /query/health loss block the invariant check reads.
 type healthLoss struct {
 	Loss *struct {
-		Fill, Look, Write struct {
+		Fill, Look struct {
 			Offered uint64 `json:"offered"`
 			Dropped uint64 `json:"dropped"`
 			Sampled uint64 `json:"sampled"`
@@ -266,9 +266,8 @@ func requireZeroLoss(t *testing.T, name, queryAddr string) {
 	for qname, q := range map[string]struct {
 		Offered, Dropped, Sampled uint64
 	}{
-		"fill":  {h.Loss.Fill.Offered, h.Loss.Fill.Dropped, h.Loss.Fill.Sampled},
-		"look":  {h.Loss.Look.Offered, h.Loss.Look.Dropped, h.Loss.Look.Sampled},
-		"write": {h.Loss.Write.Offered, h.Loss.Write.Dropped, h.Loss.Write.Sampled},
+		"fill": {h.Loss.Fill.Offered, h.Loss.Fill.Dropped, h.Loss.Fill.Sampled},
+		"look": {h.Loss.Look.Offered, h.Loss.Look.Dropped, h.Loss.Look.Sampled},
 	} {
 		if q.Dropped != 0 || q.Sampled != 0 {
 			t.Fatalf("%s %s queue lost accepted records: dropped=%d sampled=%d of %d offered",
@@ -327,7 +326,6 @@ func startClusterWorker(t *testing.T, bin string, w *clusterWorker) {
 		"-dns-listen", w.dnsAddr, "-netflow-listen", w.flowAddr,
 		"-query-addr", w.queryAddr,
 		"-sink", "tsv", "-out", w.outPath,
-		"-flush-interval", "50ms",
 	)
 	waitHTTP(t, w.proc, "http://"+w.queryAddr+"/query/health")
 }

@@ -279,8 +279,8 @@ func main() {
 		}
 		log.Printf("flowdns: checkpointing to %s every %v", cfg.SnapshotPath, corr.Config().SnapshotEvery)
 	}
-	log.Printf("flowdns: running (variant=%s, lanes=%d, sink=%s, batch=%d, rollup=%v)",
-		cmp.Or(file.Correlator.Variant, "Main"), corr.Lanes(), cmp.Or(file.Output.Sink, "tsv"), cfg.WriteBatchSize, engine != nil)
+	log.Printf("flowdns: running (variant=%s, lanes=%d, sink=%s, rollup=%v)",
+		cmp.Or(file.Correlator.Variant, "Main"), corr.Lanes(), cmp.Or(file.Output.Sink, "tsv"), engine != nil)
 	if err := corr.Run(ctx); err != nil {
 		log.Fatalf("flowdns: %v", err)
 	}
@@ -332,11 +332,8 @@ func bindFlags(fs *flag.FlagSet) *cli {
 
 	cc := &f.Correlator
 	fs.StringVar(&cc.Variant, "variant", "Main", "benchmark variant: Main, NoSplit, NoClearUp, NoRotation, NoLong, ExactTTL")
-	fs.IntVar(&cc.Lanes, "lanes", 0, "lanes, one FillUp+LookUp worker each (DNS partitioned by answer IP, flows by lookup IP; 0 = one lane per split)")
-	fs.IntVar(&cc.WriteWorkers, "write-workers", 2, "Write workers")
-	fs.IntVar(&cc.WriteBatchSize, "batch-size", core.DefaultWriteBatchSize, "correlated flows per sink WriteBatch call")
+	fs.IntVar(&cc.Lanes, "lanes", 0, "lanes, one worker each that fills, looks up and writes to the sink (DNS partitioned by answer IP, flows by lookup IP; 0 = one lane per split)")
 	fs.IntVar(&cc.IngestBatch, "ingest-batch", 0, "UDP datagrams drained per batched socket read (recvmmsg ring size; 0 = default 32, 1 = single-read loop)")
-	fs.Var(unitFlag{&cc.WriteFlushMS, time.Millisecond, core.DefaultWriteFlushInterval}, "flush-interval", "max wait for a write batch to fill")
 	fs.StringVar(&cc.SnapshotPath, "snapshot", "", "warm-restart checkpoint file: restore on boot, checkpoint periodically and on shutdown ('' = disabled)")
 	fs.Var(unitFlag{&cc.SnapshotEverySeconds, time.Second, core.DefaultSnapshotInterval}, "snapshot-every", "checkpoint cadence when -snapshot is set")
 	fs.Float64Var(&cc.SampleMaxShed, "sample-max-shed", 0, "adaptive sampler shed ceiling in (0,1]: fraction of offered records deliberately shed (and counted) at full buffers (0 = disabled)")
@@ -587,7 +584,7 @@ func buildRollup(rc config.RollupConfig, base core.Sink, outputs []config.Output
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
-		hotTable = bgp.NewHot(table) // freezes: the sink's Write workers only read
+		hotTable = bgp.NewHot(table) // freezes: the lanes writing to the sink only read
 		opts = append(opts, rollup.WithHotTable(hotTable))
 		log.Printf("flowdns: rollup: %d BGP prefixes loaded from %s", table.Len(), rc.BGPTable)
 	}

@@ -38,7 +38,7 @@ const flagDefaults = `{
 	"dns_streams":  [{"listen": ":5353"}],
 	"flow_streams": [{"listen": ":2055"}],
 	"output":       {"path": "-", "sink": "tsv"},
-	"correlator":   {"variant": "Main", "write_workers": 2, "write_batch_size": 256},
+	"correlator":   {"variant": "Main"},
 	"rollup":       {"path": "rollups.tsv", "format": "tsv"}
 }`
 
@@ -97,10 +97,7 @@ var flagRows = []struct {
 		map[string]any{"output.retry": map[string]any{"spill_path": "s.jsonl"}}},
 	{"variant", []string{"-variant", "NoSplit"}, map[string]any{"correlator.variant": "NoSplit"}},
 	{"lanes", []string{"-lanes", "8"}, map[string]any{"correlator.lanes": 8}},
-	{"write-workers", []string{"-write-workers", "3"}, map[string]any{"correlator.write_workers": 3}},
-	{"batch-size", []string{"-batch-size", "64"}, map[string]any{"correlator.write_batch_size": 64}},
 	{"ingest-batch", []string{"-ingest-batch", "1"}, map[string]any{"correlator.ingest_batch": 1}},
-	{"flush-interval", []string{"-flush-interval", "20ms"}, map[string]any{"correlator.write_flush_ms": 20}},
 	{"snapshot", []string{"-snapshot", "s.snap"}, map[string]any{"correlator.snapshot_path": "s.snap"}},
 	{"snapshot-every", []string{"-snapshot", "s.snap", "-snapshot-every", "90s"},
 		map[string]any{"correlator.snapshot_path": "s.snap", "correlator.snapshot_every_seconds": 90}},
@@ -226,14 +223,14 @@ func TestMisuseRejectedByTheSharedValidate(t *testing.T) {
 // The seconds/ms fields take a duration on the command line; a fractional
 // request rounds away from zero, never to the 0 that means "default".
 func TestUnitFlagRounding(t *testing.T) {
-	f, err := resolveArgs(t, "-window", "1500ms", "-flush-interval", "500us", "-compact-after", "-500ms", "-retention", "1h")
+	f, err := resolveArgs(t, "-window", "1500ms", "-dns-idle-timeout", "500ms", "-compact-after", "-500ms", "-retention", "1h")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Rollup.WindowSeconds != 2 || f.Correlator.WriteFlushMS != 1 ||
+	if f.Rollup.WindowSeconds != 2 || f.Correlator.DNSIdleTimeoutSeconds != 1 ||
 		f.Query.CompactAfterSeconds != -1 || f.Query.RetentionSeconds != 3600 {
-		t.Fatalf("window=%d flush=%d compact=%d retention=%d, want 2 1 -1 3600",
-			f.Rollup.WindowSeconds, f.Correlator.WriteFlushMS, f.Query.CompactAfterSeconds, f.Query.RetentionSeconds)
+		t.Fatalf("window=%d idle=%d compact=%d retention=%d, want 2 1 -1 3600",
+			f.Rollup.WindowSeconds, f.Correlator.DNSIdleTimeoutSeconds, f.Query.CompactAfterSeconds, f.Query.RetentionSeconds)
 	}
 	if _, err := parse(t, "-window", "soon"); err == nil {
 		t.Fatal("malformed duration accepted")

@@ -150,7 +150,7 @@ func correlate(dnsPath, flowPath, outPath string, variant core.Variant, sinkName
 	// The replay is deterministic and synchronous (record-clock ordering),
 	// but writes still go out in batches: correlated flows accumulate and
 	// reach the sink through the same amortized WriteBatch path the live
-	// Write workers use.
+	// lanes use.
 	if batchSize < 1 {
 		batchSize = core.DefaultWriteBatchSize
 	}

@@ -4,7 +4,7 @@
 // streams delivered as length-prefixed DNS messages over TCP (as the ISP
 // resolvers deliver cache misses to the collectors) and two NetFlow v9
 // exporters over UDP, all fanned into a single FlowDNS correlator whose
-// Write workers emit TSV rows.
+// lanes emit TSV rows.
 //
 //	go run ./examples/live-pipeline
 package main

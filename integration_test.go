@@ -149,7 +149,7 @@ func TestLoopbackPipeline(t *testing.T) {
 // lanes, and a counting sink. It asserts the correlated fraction and — the
 // lane-sharding invariant — exactly-once delivery: every flow that entered
 // the pipeline reaches the sink exactly once, no duplicates from lane
-// fan-out and no drops between lanes and the write stage.
+// fan-out and no drops between a lane and the sink.
 func TestShardedLanesEndToEnd(t *testing.T) {
 	nfConn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -234,8 +234,11 @@ func TestShardedLanesEndToEnd(t *testing.T) {
 
 	st := c.Stats()
 	// Exactly-once: everything the lanes accepted reached the sink, once.
-	if st.LookQueue.Dropped != 0 || st.WriteQueue.Dropped != 0 {
-		t.Fatalf("internal drops: look=%d write=%d", st.LookQueue.Dropped, st.WriteQueue.Dropped)
+	if st.LookQueue.Dropped != 0 {
+		t.Fatalf("internal drops: look=%d", st.LookQueue.Dropped)
+	}
+	if st.Written != st.LookQueue.Dequeued-st.Poisoned {
+		t.Fatalf("written %d != look dequeued %d - poisoned %d", st.Written, st.LookQueue.Dequeued, st.Poisoned)
 	}
 	if st.Written != st.Flows {
 		t.Fatalf("written %d != processed flows %d", st.Written, st.Flows)

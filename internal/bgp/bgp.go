@@ -33,7 +33,7 @@ import (
 // fails with ErrFrozen without touching the trie, so a mistaken late
 // insert can never race the pipeline's readers. The pipeline lifecycle is
 // exactly this shape: load the table at startup, Freeze it, then hand it
-// to the rollup sink's Write workers.
+// to the rollup sink the correlation lanes write to.
 type Table struct {
 	v4     *node
 	v6     *node

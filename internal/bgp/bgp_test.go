@@ -252,9 +252,9 @@ func TestFreezeContract(t *testing.T) {
 
 // TestFrozenTableConcurrency is the pipeline-lifecycle race test: a table
 // built and frozen at startup, then hammered by concurrent readers (the
-// rollup sink's Write workers) while stray Inserts are rejected. Run under
-// -race this proves the build-then-read contract is enforceable, not just
-// documented.
+// correlation lanes writing to the rollup sink) while stray Inserts are
+// rejected. Run under -race this proves the build-then-read contract is
+// enforceable, not just documented.
 func TestFrozenTableConcurrency(t *testing.T) {
 	tbl := NewTable()
 	r := rand.New(rand.NewSource(7))

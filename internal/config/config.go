@@ -228,14 +228,11 @@ type CorrelatorConfig struct {
 	Variant         string `json:"variant"`            // Main (default), NoSplit, ...
 	LookupKey       string `json:"lookup_key"`         // source (default), destination, both
 	NumSplit        int    `json:"num_split"`          // 0 = paper default (10)
-	Lanes           int    `json:"lanes"`              // lanes, one FillUp+LookUp worker each; 0 = one per split (paper default)
-	WriteWorkers    int    `json:"write_workers"`      // 0 = default
+	Lanes           int    `json:"lanes"`              // lanes, one worker each; 0 = one per split (paper default)
 	AClearUpSeconds int    `json:"a_clear_up_seconds"` // 0 = 3600
 	CClearUpSeconds int    `json:"c_clear_up_seconds"` // 0 = 7200
 	CNAMEChainLimit int    `json:"cname_chain_limit"`  // 0 = 6
 	QueueCapacity   int    `json:"queue_capacity"`     // 0 = default
-	WriteBatchSize  int    `json:"write_batch_size"`   // 0 = default (256)
-	WriteFlushMS    int    `json:"write_flush_ms"`     // 0 = default (50 ms)
 	IngestBatch     int    `json:"ingest_batch"`       // UDP datagrams per batched read; 0 = default (32), 1 = single-read loop
 
 	// DNSIdleTimeoutSeconds closes a DNS TCP stream silent for this long
@@ -276,8 +273,12 @@ func Load(path string) (*File, error) {
 }
 
 // removedCorrelatorKeys are settings lanes replaced (a lane runs one worker
-// that fills and looks up); plain decoding would skip them silently.
-var removedCorrelatorKeys = []string{"fill_lanes", "fillup_workers", "lookup_workers"}
+// that fills, looks up and writes to the sink); plain decoding would skip
+// them silently.
+var removedCorrelatorKeys = []string{
+	"fill_lanes", "fillup_workers", "lookup_workers",
+	"write_workers", "write_batch_size", "write_flush_ms",
+}
 
 // Parse decodes and validates a configuration document.
 func Parse(data []byte) (*File, error) {
@@ -291,7 +292,7 @@ func Parse(data []byte) (*File, error) {
 	}
 	for _, k := range removedCorrelatorKeys {
 		if _, ok := raw.Correlator[k]; ok {
-			return nil, fmt.Errorf("config: correlator.%s was removed: each lane runs one FillUp+LookUp worker, so set lanes instead", k)
+			return nil, fmt.Errorf("config: correlator.%s was removed: each lane runs one worker that fills, looks up and writes, so set lanes instead", k)
 		}
 	}
 	if err := f.Validate(); err != nil {
@@ -465,9 +466,6 @@ func (f *File) CoreConfig() (core.Config, error) {
 	if cc.Lanes > 0 {
 		cfg.Lanes = cc.Lanes
 	}
-	if cc.WriteWorkers > 0 {
-		cfg.WriteWorkers = cc.WriteWorkers
-	}
 	if cc.AClearUpSeconds > 0 {
 		cfg.AClearUpInterval = time.Duration(cc.AClearUpSeconds) * time.Second
 	}
@@ -480,13 +478,6 @@ func (f *File) CoreConfig() (core.Config, error) {
 	if cc.QueueCapacity > 0 {
 		cfg.FillQueueCap = cc.QueueCapacity
 		cfg.LookQueueCap = cc.QueueCapacity
-		cfg.WriteQueueCap = cc.QueueCapacity
-	}
-	if cc.WriteBatchSize > 0 {
-		cfg.WriteBatchSize = cc.WriteBatchSize
-	}
-	if cc.WriteFlushMS > 0 {
-		cfg.WriteFlushInterval = time.Duration(cc.WriteFlushMS) * time.Millisecond
 	}
 	if cc.SnapshotEverySeconds < 0 {
 		return core.Config{}, fmt.Errorf("config: negative snapshot_every_seconds %d", cc.SnapshotEverySeconds)
@@ -547,8 +538,6 @@ func Example() *File {
 		Correlator: CorrelatorConfig{
 			Variant:               "Main",
 			LookupKey:             "source",
-			WriteWorkers:          2,
-			WriteBatchSize:        core.DefaultWriteBatchSize,
 			IngestBatch:           stream.DefaultIngestBatch,
 			DNSIdleTimeoutSeconds: 90,
 			SnapshotPath:          "flowdns.snapshot",

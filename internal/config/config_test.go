@@ -34,7 +34,7 @@ func TestParseFull(t *testing.T) {
 		"output":{"path":"out.tsv","skip_misses":true},
 		"correlator":{
 			"variant":"NoRotation","lookup_key":"both","num_split":4,
-			"lanes":2,"write_workers":1,
+			"lanes":2,
 			"a_clear_up_seconds":1800,"c_clear_up_seconds":3600,
 			"cname_chain_limit":4,"queue_capacity":1024
 		}
@@ -56,8 +56,8 @@ func TestParseFull(t *testing.T) {
 	if cfg.CNAMEChainLimit != 4 || cfg.FillQueueCap != 1024 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
-	if cfg.Lanes != 2 || cfg.WriteWorkers != 1 {
-		t.Fatalf("lanes = %d, write workers = %d, want 2/1", cfg.Lanes, cfg.WriteWorkers)
+	if cfg.Lanes != 2 || cfg.LookQueueCap != 1024 {
+		t.Fatalf("lanes = %d, look ring = %d, want 2/1024", cfg.Lanes, cfg.LookQueueCap)
 	}
 	if !f.Output.SkipMisses || f.Output.Path != "out.tsv" {
 		t.Fatalf("output = %+v", f.Output)
@@ -104,7 +104,7 @@ func TestParseErrors(t *testing.T) {
 // The worker-count settings removed when a lane became one FillUp+LookUp
 // worker fail the parse, naming lanes, instead of being skipped silently.
 func TestParseRejectsRemovedWorkerKeys(t *testing.T) {
-	for _, key := range []string{"fill_lanes", "fillup_workers", "lookup_workers"} {
+	for _, key := range []string{"fill_lanes", "fillup_workers", "lookup_workers", "write_workers", "write_batch_size", "write_flush_ms"} {
 		doc := `{"dns_streams":[{"listen":":1"}],"correlator":{"lanes":4,"` + key + `":4}}`
 		_, err := Parse([]byte(doc))
 		if err == nil || !strings.Contains(err.Error(), key) || !strings.Contains(err.Error(), "lanes") {
@@ -210,7 +210,7 @@ func TestSinkAndBatchConfig(t *testing.T) {
 		"dns_streams":[{"listen":":5353"}],
 		"output":{"path":"out.jsonl","sink":"json","skip_misses":true},
 		"outputs":[{"sink":"counting"}],
-		"correlator":{"write_batch_size":512,"write_flush_ms":10}
+		"correlator":{"lanes":4}
 	}`
 	f, err := Parse([]byte(doc))
 	if err != nil {
@@ -220,8 +220,8 @@ func TestSinkAndBatchConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.WriteBatchSize != 512 || cfg.WriteFlushInterval != 10*time.Millisecond {
-		t.Fatalf("batch tuning = %d/%v", cfg.WriteBatchSize, cfg.WriteFlushInterval)
+	if cfg.Lanes != 4 {
+		t.Fatalf("lanes = %d, want 4", cfg.Lanes)
 	}
 	s, err := f.Output.NewSink(io.Discard)
 	if err != nil {

@@ -8,8 +8,8 @@
 // and its LookUp worker: it fills DNS records into the sharded
 // answer→query hashmaps, and resolves each flow's IP through the IP-NAME
 // maps and then walks the NAME-CNAME maps backwards (up to 6 hops) toward
-// the original service name. Write workers emit correlated flows to a
-// sink. All state lives in active/inactive/long map generations rotated on
+// the original service name, and hands the correlated batch to a sink.
+// All state lives in active/inactive/long map generations rotated on
 // the clear-up intervals (Algorithms 1 and 2, Table 1).
 package core
 
@@ -22,14 +22,11 @@ const (
 	DefaultCClearUpInterval = 7200 * time.Second
 	DefaultCNAMEChainLimit  = 6
 	DefaultQueueCapacity    = 65536
-	// DefaultWriteBatchSize is how many correlated flows a Write worker
-	// accumulates per sink WriteBatch call: one lock acquisition and one
-	// buffered write amortized over the batch.
+	// DefaultWriteBatchSize is a sink batch size for callers that batch
+	// output themselves (offline replays): one lock acquisition and one
+	// buffered write amortized over the batch. The live pipeline hands the
+	// sink each lane round's batch instead.
 	DefaultWriteBatchSize = 256
-	// DefaultWriteFlushInterval bounds how long a Write worker lingers for
-	// a batch to fill before handing a partial batch to the sink — the
-	// latency ceiling batching adds under light load.
-	DefaultWriteFlushInterval = 50 * time.Millisecond
 	// DefaultSnapshotInterval is the checkpoint cadence when SnapshotPath
 	// is set without SnapshotEvery. Five minutes keeps the restart warmth
 	// gap well under the shortest common answer TTLs' refresh horizon while
@@ -113,23 +110,20 @@ type Config struct {
 	// the paper's deployment).
 	Key LookupKey
 
-	// WriteWorkers is the number of Write workers sharing the write queue.
-	WriteWorkers int
-
-	// Queue capacities; overflowing queues drop records (stream loss).
+	// Ring capacities; an overflowing ring drops offered records (stream
+	// loss), while PutDNSBatch (the TCP DNS source) waits for space.
 	// FillQueueCap and LookQueueCap are totals across all lanes, divided
 	// evenly (each lane's DNS ring gets FillQueueCap/Lanes and its flow
 	// ring LookQueueCap/Lanes, minimum 1). A single hot address can buffer
 	// up to one lane's share before that lane drops, so operators with
 	// skewed traffic should raise these and watch LaneDepths.
-	FillQueueCap  int
-	LookQueueCap  int
-	WriteQueueCap int
+	FillQueueCap int
+	LookQueueCap int
 
 	// Adaptive overload shedding (the production inverse of the paper's
 	// "keep the buffer usage stable to avoid any loss" goal: when loss is
 	// unavoidable, make it deliberate, smooth, and accounted). When
-	// SampleMaxShed > 0 every stage queue gets a sampler that starts
+	// SampleMaxShed > 0 every intake ring gets a sampler that starts
 	// shedding offered records once its buffer passes SampleLowWater fill,
 	// ramping linearly to the SampleMaxShed fraction at SampleHighWater.
 	// Shed records are counted in the queues' Stats.Sampled — never
@@ -139,13 +133,6 @@ type Config struct {
 	SampleLowWater  float64
 	SampleHighWater float64
 	SampleMaxShed   float64
-
-	// WriteBatchSize bounds how many correlated flows a Write worker hands
-	// to the sink per WriteBatch call.
-	WriteBatchSize int
-	// WriteFlushInterval bounds how long a Write worker waits for a batch
-	// to fill before flushing a partial one.
-	WriteFlushInterval time.Duration
 
 	// Ablation switches (§4 benchmarks).
 	DisableSplit    bool // "No Split": one IP-NAME map instead of NumSplit
@@ -173,7 +160,7 @@ type Config struct {
 	SnapshotEvery time.Duration
 
 	// RestartBackoffMin/Max bound the supervised-restart backoff: when a
-	// lane or Write worker or attached Service dies abnormally (panic, early
+	// lane worker or attached Service dies abnormally (panic, early
 	// return), it is restarted after RestartBackoffMin, doubling per
 	// consecutive failure up to RestartBackoffMax. Zero values take the
 	// defaults (100 ms / 5 s).
@@ -181,19 +168,18 @@ type Config struct {
 	RestartBackoffMax time.Duration
 }
 
-// DefaultConfig returns the paper's Main configuration.
+// DefaultConfig returns the paper's Main configuration. The flow rings get
+// twice the DNS rings' capacity: a lane writes its own output, so a sink
+// stall backs up into the flow rings, and they buffer it on top of the
+// intake backlog.
 func DefaultConfig() Config {
 	return Config{
 		NumSplit:              DefaultNumSplit,
 		AClearUpInterval:      DefaultAClearUpInterval,
 		CClearUpInterval:      DefaultCClearUpInterval,
 		CNAMEChainLimit:       DefaultCNAMEChainLimit,
-		WriteWorkers:          2,
 		FillQueueCap:          DefaultQueueCapacity,
-		LookQueueCap:          DefaultQueueCapacity,
-		WriteQueueCap:         DefaultQueueCapacity,
-		WriteBatchSize:        DefaultWriteBatchSize,
-		WriteFlushInterval:    DefaultWriteFlushInterval,
+		LookQueueCap:          2 * DefaultQueueCapacity,
 		ExactTTLSweepInterval: 60 * time.Second,
 	}
 }
@@ -242,12 +228,8 @@ func (c Config) normalized() Config {
 	c.AClearUpInterval = orDefault(c.AClearUpInterval, d.AClearUpInterval)
 	c.CClearUpInterval = orDefault(c.CClearUpInterval, d.CClearUpInterval)
 	c.CNAMEChainLimit = orDefault(c.CNAMEChainLimit, d.CNAMEChainLimit)
-	c.WriteWorkers = orDefault(c.WriteWorkers, d.WriteWorkers)
 	c.FillQueueCap = orDefault(c.FillQueueCap, d.FillQueueCap)
 	c.LookQueueCap = orDefault(c.LookQueueCap, d.LookQueueCap)
-	c.WriteQueueCap = orDefault(c.WriteQueueCap, d.WriteQueueCap)
-	c.WriteBatchSize = orDefault(c.WriteBatchSize, d.WriteBatchSize)
-	c.WriteFlushInterval = orDefault(c.WriteFlushInterval, d.WriteFlushInterval)
 	c.ExactTTLSweepInterval = orDefault(c.ExactTTLSweepInterval, d.ExactTTLSweepInterval)
 	c.SnapshotEvery = orDefault(c.SnapshotEvery, DefaultSnapshotInterval)
 	c.RestartBackoffMin = orDefault(c.RestartBackoffMin, DefaultRestartBackoffMin)

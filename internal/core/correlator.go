@@ -20,7 +20,7 @@ import (
 )
 
 // CorrelatedFlow is the output record: the original flow annotated with the
-// service name FlowDNS resolved for its source IP. It is what the Write
+// service name FlowDNS resolved for its source IP. It is what the lane
 // workers hand to the sink and what the ISP joins with BGP data downstream.
 type CorrelatedFlow struct {
 	Flow netflow.FlowRecord
@@ -32,10 +32,10 @@ type CorrelatedFlow struct {
 	// Tier records which generation satisfied the IP-NAME lookup.
 	Tier Tier
 	// EnqueuedAt is the wall-clock instant the flow entered its lane's flow
-	// ring (stamped by OfferFlow/OfferFlowBatch; zero for synchronous
-	// CorrelateFlow calls). The write-delay metric — time from flow arrival
-	// to the sink write, spanning the LookUp wait, the correlation, and the
-	// write queue — derives from it.
+	// ring (stamped by OfferFlowBatch; zero for synchronous CorrelateFlow
+	// calls). The write-delay metric — time from flow arrival to the sink
+	// write, spanning the flow ring wait, the correlation, and the sink
+	// call — derives from it.
 	EnqueuedAt time.Time
 }
 
@@ -127,11 +127,11 @@ func WithMetrics(interval time.Duration, observe func(Stats)) Option {
 }
 
 // Correlator is the FlowDNS pipeline of Figure 1. Construct with New, feed
-// it via the stream.Ingest façade (OfferDNS/OfferFlow and their batch
-// forms) or attach Sources, run the workers with Run(ctx) — cancellation
-// stops intake and drains every stage through the sink — and read Stats
-// at any time. The deterministic IngestDNS/CorrelateFlow methods bypass
-// the queues for offline replays.
+// it via the stream.Ingest façade (OfferDNSBatch/OfferFlowBatch, plus
+// PutDNSBatch for sources that can wait) or attach Sources, run the lane
+// workers with Run(ctx) — cancellation stops intake and drains every lane
+// through the sink — and read Stats at any time. The deterministic
+// IngestDNS/CorrelateFlow methods bypass the queues for offline replays.
 type Correlator struct {
 	cfg      Config
 	sink     Sink
@@ -148,15 +148,19 @@ type Correlator struct {
 	ipName    *store // A/AAAA answer(IP) -> query name
 	nameCname *store // CNAME answer(canonical) -> query (alias)
 
-	// dns and flows are the FillUp and LookUp stages; lane l's worker
-	// (lane.go) drains dns.lanes[l] and flows.lanes[l], parking on bells[l].
+	// dns and flows are the FillUp and LookUp rings; lane l's worker
+	// (lane.go) drains dns.lanes[l] and flows.lanes[l], parking on bells[l],
+	// and writes what it correlates to the sink.
 	dns       *stage[stream.DNSRecord]
 	flows     *stage[flowEntry]
 	bells     []*queue.Bell
 	interners []*interner
 	lanesWG   sync.WaitGroup
-	// write is the single-lane Write stage feeding the sink.
-	write *stage[CorrelatedFlow]
+	// busyLanes counts lanes between finding work and finding none;
+	// unflushed is set by a sink write and cleared by the flush the last
+	// lane to go idle makes (laneIdle).
+	busyLanes atomic.Int32
+	unflushed atomic.Bool
 
 	// fillBufPool recycles the item-assembly scratch the public
 	// IngestDNSBatch uses; lane workers hold a private buffer instead.
@@ -169,14 +173,14 @@ type Correlator struct {
 	restoreStats RestoreStats
 	restoreErr   error
 
-	// sinkErr holds the first WriteBatch error; once set, write workers
-	// drain without writing and Run begins shutdown.
+	// sinkErr holds the first WriteBatch or Flush error; once set, the
+	// lanes drain without writing and Run begins shutdown.
 	sinkErr     atomic.Pointer[error]
 	sinkFailed  chan struct{}
 	sinkErrOnce sync.Once
 
 	// sup tracks panic containment and supervised restarts per component
-	// (stage workers, checkpointer, services).
+	// (lane steps, sink, checkpointer, services).
 	sup supervisor
 
 	stats statsCounters
@@ -223,9 +227,8 @@ func New(cfg Config, opts ...Option) *Correlator {
 	for range cfg.Lanes {
 		c.bells = append(c.bells, queue.NewBell())
 	}
-	c.dns = newStage[stream.DNSRecord](compFill, &c.sup, c.bells, cfg.FillQueueCap, sampler)
-	c.flows = newStage[flowEntry](compLook, &c.sup, c.bells, cfg.LookQueueCap, sampler)
-	c.write = newStage[CorrelatedFlow](compWrite, &c.sup, []*queue.Bell{queue.NewBell()}, cfg.WriteQueueCap, sampler)
+	c.dns = newStage[stream.DNSRecord](c.bells, cfg.FillQueueCap, sampler)
+	c.flows = newStage[flowEntry](c.bells, cfg.LookQueueCap, sampler)
 	for i := range c.interners {
 		c.interners[i] = newInterner(defaultInternCap)
 	}
@@ -313,23 +316,25 @@ func (c *Correlator) Config() Config { return c.cfg }
 
 // --- stream.Ingest façade (live pipeline) ---
 
-// OfferDNS places a DNS record on its lane's DNS ring; a false return is a
-// dropped record (stream loss). The lane is chosen by the answer-address
-// hash, so records for the same address always land on the same lane.
-func (c *Correlator) OfferDNS(rec stream.DNSRecord) bool {
-	rec.TypeAnswerAddr()
-	return c.dns.lanes[c.LaneFor(&rec)].Offer(rec)
-}
-
 // OfferDNSBatch partitions a batch of DNS records onto their lanes in one
 // pass, as OfferFlowBatch does for flows, and returns how many were
-// accepted.
-func (c *Correlator) OfferDNSBatch(recs []stream.DNSRecord) int {
+// accepted; the rest were dropped (stream loss). The lane is chosen by the
+// answer-address hash, so records for the same address always land on the
+// same lane.
+func (c *Correlator) OfferDNSBatch(recs []stream.DNSRecord) int { return c.enqueueDNS(recs, false) }
+
+// PutDNSBatch is OfferDNSBatch for a source that can wait: on a full lane
+// DNS ring it blocks until the lane worker frees space instead of dropping,
+// so a TCP stream carries the stall back to its sender. The drain's close
+// of the rings ends a wait; records still unplaced then count as dropped.
+func (c *Correlator) PutDNSBatch(recs []stream.DNSRecord) int { return c.enqueueDNS(recs, true) }
+
+func (c *Correlator) enqueueDNS(recs []stream.DNSRecord, wait bool) int {
 	if len(recs) == 0 {
 		return 0
 	}
 	if len(c.dns.lanes) == 1 {
-		return c.dns.lanes[0].OfferBatch(recs)
+		return c.dns.enqueue(0, recs, wait)
 	}
 	p := c.dns.partition()
 	for i := range recs {
@@ -338,19 +343,14 @@ func (c *Correlator) OfferDNSBatch(recs []stream.DNSRecord) int {
 		l := c.LaneFor(&r)
 		p.lane[l] = append(p.lane[l], r)
 	}
-	return c.dns.offer(p)
-}
-
-// OfferFlow places a flow on its lane's flow ring, stamping its arrival
-// instant; a false return is a dropped record (stream loss). The lane is
-// chosen by a hash of the flow's lookup address (Config.Key), so flows
-// resolved by the same address always land on the same lane.
-func (c *Correlator) OfferFlow(fr netflow.FlowRecord) bool {
-	return c.flows.lanes[c.flowLane(&fr)].Offer(flowEntry{fr: fr, at: time.Now()})
+	return c.dns.offer(p, wait)
 }
 
 // OfferFlowBatch partitions a batch of flows onto their lanes — one arrival
-// stamp for the whole batch — and returns how many were accepted.
+// stamp for the whole batch — and returns how many were accepted; the rest
+// were dropped (stream loss). The lane is chosen by a hash of the flow's
+// lookup address (Config.Key), so flows resolved by the same address always
+// land on the same lane.
 func (c *Correlator) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	if len(frs) == 0 {
 		return 0
@@ -361,17 +361,16 @@ func (c *Correlator) OfferFlowBatch(frs []netflow.FlowRecord) int {
 		l := c.flowLane(&frs[i])
 		p.lane[l] = append(p.lane[l], flowEntry{fr: frs[i], at: now})
 	}
-	return c.flows.offer(p)
+	return c.flows.offer(p, false)
 }
 
 var _ stream.Ingest = (*Correlator)(nil)
 
-// QueueDepths reports the current occupancy of the three stage queues —
-// the "buffer usage" the paper's operators watch to keep loss at zero. The
-// fill and look depths aggregate every lane; LaneDepths has the per-lane
-// breakdown.
-func (c *Correlator) QueueDepths() (fill, look, write int) {
-	return c.dns.depth(), c.flows.depth(), c.write.depth()
+// QueueDepths reports the current occupancy of the two intake rings — the
+// "buffer usage" the paper's operators watch to keep loss at zero — each
+// aggregated over every lane; LaneDepths has the per-lane breakdown.
+func (c *Correlator) QueueDepths() (fill, look int) {
+	return c.dns.depth(), c.flows.depth()
 }
 
 // LaneDepths reports each lane's DNS and flow ring occupancy — the skew
@@ -379,8 +378,8 @@ func (c *Correlator) QueueDepths() (fill, look, write int) {
 // lane).
 func (c *Correlator) LaneDepths() (dns, flows []int) { return c.dns.depths(), c.flows.depths() }
 
-// Run executes the pipeline: it launches the lane and Write workers plus
-// every attached source, then blocks until one of
+// Run executes the pipeline: it launches the lane workers plus every
+// attached source, then blocks until one of
 //
 //   - ctx is cancelled (graceful shutdown request),
 //   - all attached sources complete (end of finite input),
@@ -389,22 +388,17 @@ func (c *Correlator) LaneDepths() (dns, flows []int) { return c.dns.depths(), c.
 //   - the sink fails (first WriteBatch error)
 //
 // and performs a graceful drain: sources stop, every lane's two rings close
-// and drain, then the write queue, in-flight records reach the sink, and
-// the sink is flushed and closed. Run returns source and sink errors joined;
-// cancellation itself is a clean shutdown, not an error. A Correlator runs
-// at most once.
+// and drain through the sink, and the sink is flushed and closed once. Run
+// returns source and sink errors joined; cancellation itself is a clean
+// shutdown, not an error. A Correlator runs at most once.
 func (c *Correlator) Run(ctx context.Context) error {
 	if !c.started.CompareAndSwap(false, true) {
 		return ErrAlreadyRunning
 	}
 
-	c.startLanes()
 	// The drain must finish even after ctx is cancelled: in-flight records
 	// belong to the sink, so sink writes run under an uncancellable child.
-	writeCtx := context.WithoutCancel(ctx)
-	c.write.start(c.cfg.WriteWorkers, c.cfg.WriteBatchSize, c.cfg.WriteFlushInterval, func(_ int, h *compHealth, batch []CorrelatedFlow) {
-		c.writeBatch(writeCtx, h, batch)
-	})
+	c.startLanes(context.WithoutCancel(ctx))
 
 	// Sources run under their own cancellable context so that sink
 	// failure, source failure, and source completion can stop intake
@@ -481,15 +475,14 @@ func (c *Correlator) Run(ctx context.Context) error {
 	close(c.draining)
 
 	// Graceful drain: stop intake, close both rings of every lane and wait
-	// for the lane workers to empty them, then drain the write stage. The
-	// lane→Write handoff blocks rather than drops, so every flow accepted
-	// into any lane reaches the sink exactly once.
+	// for the lane workers to empty them into the sink, so every flow
+	// accepted into any lane reaches the sink exactly once. A source waiting
+	// in PutDNSBatch is released by the still-running lanes, not by a close.
 	stopSources()
 	wgSrc.Wait()
 	c.dns.close()
 	c.flows.close()
 	c.lanesWG.Wait()
-	c.write.drain()
 	stopMetrics()
 	stopCheckpointer()
 
@@ -555,9 +548,13 @@ func (c *Correlator) countCheckpoint(err error) {
 	}
 }
 
-// writeBatch is the Write stage's batch body: record the write delay, hand
-// the batch to the sink under ctx, and apply the flush policy.
+// writeBatch is a lane's Write step: record the write delay and hand the
+// batch to the sink under ctx. The sink's own buffer and laneIdle decide
+// when output is flushed.
 func (c *Correlator) writeBatch(ctx context.Context, h *compHealth, batch []CorrelatedFlow) {
+	if len(batch) == 0 {
+		return
+	}
 	now := time.Now()
 	for i := range batch {
 		if !batch[i].EnqueuedAt.IsZero() {
@@ -574,16 +571,8 @@ func (c *Correlator) writeBatch(ctx context.Context, h *compHealth, batch []Corr
 		return
 	}
 	c.stats.written.Add(uint64(len(batch)))
-	// Push buffered sink output down to the writer whenever the
-	// flush-interval timer fired (partial batch) or no more records are
-	// imminent (queue drained) — so WriteFlushInterval bounds end-to-end
-	// latency even when a burst ends on an exactly-full batch or
-	// WriteBatchSize is 1. Under sustained load batches are full and the
-	// queue non-empty, so the buffer amortizes naturally.
-	if len(batch) < c.cfg.WriteBatchSize || c.write.depth() == 0 {
-		if err := guardErr(h, c.sink.Flush); err != nil {
-			c.failSink(err)
-		}
+	if !c.unflushed.Load() {
+		c.unflushed.Store(true)
 	}
 }
 

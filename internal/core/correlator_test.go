@@ -35,6 +35,15 @@ func flow(ts time.Time, srcIP string, bytes uint64) netflow.FlowRecord {
 	}
 }
 
+// offerDNS and offerFlow offer one record as a batch of one.
+func offerDNS(in stream.Ingest, rec stream.DNSRecord) bool {
+	return in.OfferDNSBatch([]stream.DNSRecord{rec}) == 1
+}
+
+func offerFlow(in stream.Ingest, fr netflow.FlowRecord) bool {
+	return in.OfferFlowBatch([]netflow.FlowRecord{fr}) == 1
+}
+
 func newSyncCorrelator(cfg Config) *Correlator { return New(cfg) }
 
 func TestDirectALookup(t *testing.T) {
@@ -297,7 +306,6 @@ func TestMultipleNamesPerIPOverwrite(t *testing.T) {
 
 func TestPipelineEndToEnd(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.WriteWorkers = 2
 	sink := NewCountingSink()
 	c := New(cfg, WithSink(sink))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -305,7 +313,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	go func() { runDone <- c.Run(ctx) }()
 	const services = 20
 	for i := 0; i < services; i++ {
-		ok := c.OfferDNS(aRec(t0, fmt.Sprintf("svc%d.example", i), fmt.Sprintf("198.51.100.%d", i), 300))
+		ok := offerDNS(c, aRec(t0, fmt.Sprintf("svc%d.example", i), fmt.Sprintf("198.51.100.%d", i), 300))
 		if !ok {
 			t.Fatal("DNS offer dropped")
 		}
@@ -359,7 +367,7 @@ func TestRunSingleUseAndDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)
 	go func() { runDone <- c.Run(ctx) }()
-	c.OfferDNS(aRec(t0, "a.example", "198.51.100.70", 60))
+	offerDNS(c, aRec(t0, "a.example", "198.51.100.70", 60))
 	cancel()
 	if err := <-runDone; err != nil {
 		t.Fatalf("Run = %v", err)
@@ -378,13 +386,13 @@ func TestRunEndsWhenSourcesComplete(t *testing.T) {
 	// no cancellation needed.
 	sink := NewCountingSink()
 	src := stream.SourceFunc(func(ctx context.Context, in stream.Ingest) error {
-		in.OfferDNS(aRec(t0, "svc.example", "198.51.100.71", 300))
+		offerDNS(in, aRec(t0, "svc.example", "198.51.100.71", 300))
 		// Wait until the record is ingested (not merely dequeued) before
 		// the flow that depends on it.
 		for correlatorOf(in).Stats().DNSRecords < 1 {
 			time.Sleep(time.Millisecond)
 		}
-		in.OfferFlow(flow(t0.Add(time.Second), "198.51.100.71", 500))
+		offerFlow(in, flow(t0.Add(time.Second), "198.51.100.71", 500))
 		return nil
 	})
 	c := New(DefaultConfig(), WithSink(sink), WithSources(src))
@@ -440,7 +448,7 @@ func TestWithMetricsObserves(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)
 	go func() { runDone <- c.Run(ctx) }()
-	c.OfferDNS(aRec(t0, "a.example", "198.51.100.72", 60))
+	offerDNS(c, aRec(t0, "a.example", "198.51.100.72", 60))
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	<-runDone
@@ -518,7 +526,7 @@ func TestConfigNormalization(t *testing.T) {
 	c := New(Config{})
 	cfg := c.Config()
 	if cfg.NumSplit != DefaultNumSplit || cfg.AClearUpInterval != DefaultAClearUpInterval ||
-		cfg.CNAMEChainLimit != DefaultCNAMEChainLimit || cfg.WriteWorkers <= 0 {
+		cfg.CNAMEChainLimit != DefaultCNAMEChainLimit || cfg.Lanes <= 0 {
 		t.Fatalf("normalized = %+v", cfg)
 	}
 }

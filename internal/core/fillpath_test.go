@@ -293,7 +293,7 @@ func TestOfferDNSRoutesAndCounts(t *testing.T) {
 	if accepted != 40 {
 		t.Fatalf("accepted = %d, want 40", accepted)
 	}
-	fill, _, _ := c.QueueDepths()
+	fill, _ := c.QueueDepths()
 	if fill != 40 {
 		t.Fatalf("fill depth = %d, want 40", fill)
 	}
@@ -363,7 +363,7 @@ func TestOfferDNSStringAndTypedRouteSameLane(t *testing.T) {
 	c := New(cfg)
 	typed := aRecTyped(t0, "svc.example", "198.51.100.33", 300)
 	stringOnly := aRec(t0, "svc.example", "198.51.100.33", 300)
-	if !c.OfferDNS(typed) || !c.OfferDNS(stringOnly) {
+	if !offerDNS(c, typed) || !offerDNS(c, stringOnly) {
 		t.Fatal("offers rejected")
 	}
 	depths, _ := c.LaneDepths()

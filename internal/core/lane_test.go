@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/netip"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,8 +84,8 @@ func runLanePipeline(t *testing.T, cfg Config, feed func(c *Correlator)) map[uin
 	case <-time.After(30 * time.Second):
 		t.Fatal("Run did not drain")
 	}
-	if st := c.Stats(); st.FillQueue.Lost()+st.LookQueue.Lost()+st.WriteQueue.Lost() != 0 {
-		t.Fatalf("records lost: fill %+v look %+v write %+v", st.FillQueue, st.LookQueue, st.WriteQueue)
+	if st := c.Stats(); st.FillQueue.Lost()+st.LookQueue.Lost() != 0 {
+		t.Fatalf("records lost: fill %+v look %+v", st.FillQueue, st.LookQueue)
 	}
 	return got
 }
@@ -201,10 +203,10 @@ func TestLaneOrderingWithoutWait(t *testing.T) {
 				}
 				got := runLanePipeline(t, cfg, func(c *Correlator) {
 					for _, s := range steps {
-						if s.rec != nil && !c.OfferDNS(*s.rec) {
+						if s.rec != nil && !offerDNS(c, *s.rec) {
 							t.Fatal("DNS offer dropped")
 						}
-						if !c.OfferFlow(s.fr) {
+						if !offerFlow(c, s.fr) {
 							t.Fatal("flow offer dropped")
 						}
 					}
@@ -215,9 +217,10 @@ func TestLaneOrderingWithoutWait(t *testing.T) {
 	}
 }
 
-// countWorkers counts the live goroutines running a lane worker and a
-// Write worker.
-func countWorkers() (lanes, writers int) {
+// countWorkers counts the live goroutines running a lane worker, and the
+// other goroutines this package started: a Write worker pool, or any
+// worker besides the lanes, would count there.
+func countWorkers() (lanes, others int) {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -231,48 +234,189 @@ func countWorkers() (lanes, writers int) {
 		switch {
 		case strings.Contains(g, ").runLane("):
 			lanes++
-		case strings.Contains(g, ").start.func"):
-			writers++
+		case strings.Contains(g, "created by repro/internal/core.") &&
+			!strings.Contains(g, "created by repro/internal/core.Test"):
+			others++
 		}
 	}
-	return lanes, writers
+	return lanes, others
 }
 
-// waitWorkers waits until exactly lanes lane workers and writers Write
-// workers are running. Goroutines of an earlier run may still be unwinding
-// past their WaitGroup, so it waits for the exact count rather than
-// sampling it once.
-func waitWorkers(t *testing.T, lanes, writers int) {
+// waitWorkers waits until exactly lanes lane workers and no other worker
+// of this package are running. Goroutines of an earlier run may still be
+// unwinding past their WaitGroup, so it waits for the exact count rather
+// than sampling it once.
+func waitWorkers(t *testing.T, lanes int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		l, w := countWorkers()
-		if l == lanes && w == writers {
+		l, o := countWorkers()
+		if l == lanes && o == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d lane workers and %d write workers running, want %d and %d", l, w, lanes, writers)
+			t.Fatalf("%d lane workers and %d other workers running, want %d and 0", l, o, lanes)
 		}
 		runtime.Gosched()
 	}
 }
 
 // TestLaneWorkersOnePerLane pins the concurrency a started correlator runs:
-// exactly one worker per lane — no separate FillUp or LookUp workers — plus
-// WriteWorkers Write workers, all gone once Run returns.
+// exactly one worker per lane — no separate FillUp, LookUp or Write
+// workers — all gone once Run returns.
 func TestLaneWorkersOnePerLane(t *testing.T) {
 	for _, lanes := range []int{1, 3, 10} {
 		cfg := DefaultConfig()
-		cfg.Lanes, cfg.WriteWorkers = lanes, 2
+		cfg.Lanes = lanes
 		c := New(cfg)
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() { done <- c.Run(ctx) }()
-		waitWorkers(t, c.Lanes(), cfg.WriteWorkers)
+		waitWorkers(t, c.Lanes())
 		cancel()
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		waitWorkers(t, 0, 0)
+		waitWorkers(t, 0)
+	}
+}
+
+// stallSink blocks every WriteBatch until release is closed, announcing on
+// entered the first time a lane is stuck in it.
+type stallSink struct {
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (s *stallSink) WriteBatch(context.Context, []CorrelatedFlow) error {
+	s.once.Do(func() { close(s.entered) })
+	<-s.release
+	return nil
+}
+
+func (s *stallSink) Flush() error { return nil }
+func (s *stallSink) Close() error { return nil }
+
+// TestTCPDNSBackpressureLosesNothing stalls the only lane inside the sink,
+// then streams a TCP DNS burst far larger than the lane's DNS ring: the
+// source must wait for space instead of dropping, and once the sink
+// resumes every record must be filled.
+func TestTCPDNSBackpressureLosesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Lanes = 1
+	cfg.FillQueueCap = 16
+	sink := &stallSink{entered: make(chan struct{}), release: make(chan struct{})}
+	c := New(cfg, WithSink(sink))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan error, 1)
+	go func() { runDone <- c.Run(ctx) }()
+	offerFlow(c, flow(t0, "198.51.100.1", 1))
+	<-sink.entered
+
+	client, server := net.Pipe()
+	src := stream.NewDNSTCPSource(server)
+	srcDone := make(chan error, 1)
+	go func() { srcDone <- src.Run(ctx, c) }()
+	const burst = 200
+	sendDone := make(chan error, 1)
+	go func() {
+		w := stream.NewDNSTCPSink(client)
+		for i := range burst {
+			m := &dnswire.Message{
+				Header:    dnswire.Header{ID: uint16(i), Response: true},
+				Questions: []dnswire.Question{{Name: "svc.example", Type: dnswire.TypeA, Class: dnswire.ClassIN}},
+				Answers: []dnswire.Record{{Name: "svc.example", Type: dnswire.TypeA, Class: dnswire.ClassIN,
+					TTL: 300, Addr: netip.AddrFrom4([4]byte{198, 51, byte(i >> 8), byte(i)})}},
+			}
+			if err := w.Send(m); err != nil {
+				sendDone <- err
+				return
+			}
+		}
+		sendDone <- client.Close()
+	}()
+
+	// The ring fills while the lane is stuck; nothing may drop meanwhile.
+	deadline := time.Now().Add(10 * time.Second)
+	for fill, _ := c.QueueDepths(); fill < cfg.FillQueueCap; fill, _ = c.QueueDepths() {
+		if time.Now().After(deadline) {
+			t.Fatalf("DNS ring never filled: depth %d", fill)
+		}
+		runtime.Gosched()
+	}
+	if st := c.Stats(); st.FillQueue.Lost() != 0 || src.Stats().Dropped != 0 {
+		t.Fatalf("records dropped while the lane stalled: ring %+v, source %+v", st.FillQueue, src.Stats())
+	}
+
+	close(sink.release)
+	if err := <-sendDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-srcDone; err != nil {
+		t.Fatal(err)
+	}
+	for c.Stats().DNSRecords < burst {
+		if time.Now().After(deadline) {
+			t.Fatalf("filled %d of %d records", c.Stats().DNSRecords, burst)
+		}
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-runDone; err != nil {
+		t.Fatal(err)
+	}
+	st, ss := c.Stats(), src.Stats()
+	if st.FillQueue.Lost() != 0 || ss.Dropped != 0 || ss.Records != burst || st.DNSRecords != burst {
+		t.Fatalf("ring %+v, source %+v, filled %d: want %d records and no loss", st.FillQueue, ss, st.DNSRecords, burst)
+	}
+}
+
+// flushSink reports on flushed how many records it had been written when
+// each Flush came.
+type flushSink struct {
+	written atomic.Int64
+	flushed chan int64
+}
+
+func (s *flushSink) WriteBatch(_ context.Context, b []CorrelatedFlow) error {
+	s.written.Add(int64(len(b)))
+	return nil
+}
+
+func (s *flushSink) Flush() error {
+	select {
+	case s.flushed <- s.written.Load():
+	default:
+	}
+	return nil
+}
+
+func (s *flushSink) Close() error { return nil }
+
+// TestLaneIdleFlushesSingleFlow offers one flow into an idle pipeline: the
+// lane that writes it goes idle next and, being the last busy lane, must
+// flush the sink without waiting for more traffic or the drain.
+func TestLaneIdleFlushesSingleFlow(t *testing.T) {
+	sink := &flushSink{flushed: make(chan int64, 1)}
+	c := New(DefaultConfig(), WithSink(sink))
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- c.Run(ctx) }()
+	if !offerFlow(c, flow(t0, "198.51.100.1", 1)) {
+		t.Fatal("flow dropped")
+	}
+	select {
+	case n := <-sink.flushed:
+		if n != 1 {
+			t.Fatalf("flushed after %d written records, want 1", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the written flow was never flushed")
+	}
+	cancel()
+	if err := <-runDone; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -124,7 +124,7 @@ type RetryStats struct {
 // Semantics: WriteBatch never returns an error for a batch the wrapper has
 // taken responsibility for — a batch either reaches the inner sink, waits
 // in the spill queue (replayed in FIFO order once the endpoint recovers),
-// or is dropped against a full queue and counted. The write workers
+// or is dropped against a full queue and counted. The lanes writing to it
 // therefore never see a transient outage; only Close surfaces a terminal
 // error. Replay preserves batch order: while a backlog exists, new batches
 // queue behind it rather than overtaking it.

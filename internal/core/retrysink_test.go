@@ -452,7 +452,7 @@ func TestRetrySinkFailpoints(t *testing.T) {
 }
 
 // TestRetrySinkAttemptTimeout proves the per-attempt bound: a hung sink
-// turns into a deadline error, not a wedged write worker.
+// turns into a deadline error, not a wedged lane.
 func TestRetrySinkAttemptTimeout(t *testing.T) {
 	hung := sinkWaitCtx{}
 	rs, _ := newTestRetrySink(t, hung, RetryConfig{MaxRetries: -1, Timeout: 5 * time.Millisecond})

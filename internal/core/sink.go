@@ -12,22 +12,22 @@ import (
 	"sync"
 )
 
-// Sink consumes correlated flows in batches. The Write workers accumulate
-// size/time-bounded batches off the write queue, so one WriteBatch call
-// amortizes one lock acquisition and one buffered write over the whole
-// batch instead of paying both per record. Implementations must be safe
-// for concurrent WriteBatch calls (Config.WriteWorkers > 1).
+// Sink consumes correlated flows in batches. Each lane worker hands the
+// sink the batch one round correlated, so one WriteBatch call amortizes one
+// lock acquisition and one buffered write over the whole batch instead of
+// paying both per record. Implementations must be safe for concurrent
+// WriteBatch and Flush calls: every lane writes on its own goroutine.
 //
 // The batch slice is only valid for the duration of the WriteBatch call —
-// the worker reuses its backing array for the next batch. A sink that
+// the lane reuses its backing array for the next batch. A sink that
 // retains records past the call (an async exporter queue, for example)
 // must copy them first.
 //
 // Flush forces buffered output down to the underlying writer; Close
-// flushes and releases resources. Write workers call Flush after writing
-// a partial (timer-bounded) batch so Config.WriteFlushInterval bounds
-// end-to-end output latency; the correlator then calls Flush and Close
-// once more at the end of Run's drain, in that order. After Close no
+// flushes and releases resources. The last lane to go idle calls Flush if
+// anything was written since the last flush, so output never waits in a
+// buffer while the pipeline is idle; the correlator then calls Flush and
+// Close once more at the end of Run's drain, in that order. After Close no
 // further WriteBatch or Flush calls are made.
 type Sink interface {
 	WriteBatch(ctx context.Context, batch []CorrelatedFlow) error
@@ -71,12 +71,13 @@ func (DiscardSink) Close() error { return nil }
 //	timestamp \t srcIP \t dstIP \t bytes \t packets \t name \t tier \t chainLen
 //
 // This is the on-disk output format of the paper's Write workers. A batch
-// takes the mutex once and appends rows to the buffered writer with
-// allocation-free strconv formatting.
+// takes the mutex once; rows are formatted with allocation-free strconv
+// calls.
 type TSVSink struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	row []byte
+	mu   sync.Mutex
+	w    *bufio.Writer
+	row  []byte    // rows formatted under mu
+	rows sync.Pool // *[]byte: rows formatted while another lane holds mu
 	// SkipMisses drops flows without a resolved name instead of writing a
 	// NULL row; the paper writes all results, so the default keeps them.
 	SkipMisses bool
@@ -84,7 +85,9 @@ type TSVSink struct {
 
 // NewTSVSink wraps w with buffering.
 func NewTSVSink(w io.Writer) *TSVSink {
-	return &TSVSink{w: bufio.NewWriterSize(w, 1<<16), row: make([]byte, 0, 128)}
+	s := &TSVSink{w: bufio.NewWriterSize(w, 1<<16)}
+	s.rows.New = func() any { b := make([]byte, 0, 16<<10); return &b }
+	return s
 }
 
 // appendRow formats one output row into b.
@@ -108,10 +111,25 @@ func appendRow(b []byte, cf *CorrelatedFlow, name string) []byte {
 	return b
 }
 
-// WriteBatch emits one row per record under a single lock acquisition.
+// WriteBatch writes one row per record. When the mutex is free it formats
+// the rows while holding it; when another lane holds it, it formats into a
+// pooled buffer first and takes the mutex only to copy that in, so
+// concurrent lanes serialize on a copy, not on formatting.
 func (s *TSVSink) WriteBatch(_ context.Context, batch []CorrelatedFlow) error {
+	if s.mu.TryLock() {
+		defer s.mu.Unlock()
+		s.row = s.appendRows(s.row[:0], batch)
+		return s.write(s.row)
+	}
+	bp := s.rows.Get().(*[]byte)
+	defer s.rows.Put(bp)
+	*bp = s.appendRows((*bp)[:0], batch)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.write(*bp)
+}
+
+func (s *TSVSink) appendRows(b []byte, batch []CorrelatedFlow) []byte {
 	for i := range batch {
 		cf := &batch[i]
 		name := cf.Name
@@ -121,10 +139,14 @@ func (s *TSVSink) WriteBatch(_ context.Context, batch []CorrelatedFlow) error {
 			}
 			name = "NULL"
 		}
-		s.row = appendRow(s.row[:0], cf, name)
-		if _, err := s.w.Write(s.row); err != nil {
-			return fmt.Errorf("core: tsv sink: %w", err)
-		}
+		b = appendRow(b, cf, name)
+	}
+	return b
+}
+
+func (s *TSVSink) write(b []byte) error {
+	if _, err := s.w.Write(b); err != nil {
+		return fmt.Errorf("core: tsv sink: %w", err)
 	}
 	return nil
 }

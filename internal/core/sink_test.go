@@ -172,14 +172,12 @@ func (s *failingSink) Close() error {
 
 func TestRunPropagatesSinkError(t *testing.T) {
 	sink := &failingSink{failAfter: 0} // first batch fails
-	cfg := DefaultConfig()
-	cfg.WriteFlushInterval = time.Millisecond
-	c := New(cfg, WithSink(sink))
+	c := New(DefaultConfig(), WithSink(sink))
 	runDone := make(chan error, 1)
 	go func() { runDone <- c.Run(context.Background()) }()
 	// Feed until Run notices the failure and shuts itself down — no
 	// cancellation from our side.
-	c.OfferDNS(aRec(t0, "svc.example", "198.51.100.80", 300))
+	offerDNS(c, aRec(t0, "svc.example", "198.51.100.80", 300))
 	deadline := time.After(5 * time.Second)
 feed:
 	for {
@@ -192,7 +190,7 @@ feed:
 		case <-deadline:
 			t.Fatal("Run did not return after sink failure")
 		default:
-			c.OfferFlow(flow(t0.Add(time.Second), "198.51.100.80", 10))
+			offerFlow(c, flow(t0.Add(time.Second), "198.51.100.80", 10))
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
@@ -239,13 +237,13 @@ func TestRunFlushCloseOrderingOnDrain(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	runDone := make(chan error, 1)
 	go func() { runDone <- c.Run(ctx) }()
-	c.OfferDNS(aRec(t0, "svc.example", "198.51.100.81", 300))
+	offerDNS(c, aRec(t0, "svc.example", "198.51.100.81", 300))
 	for c.Stats().DNSRecords < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	const flows = 100
 	for i := 0; i < flows; i++ {
-		c.OfferFlow(flow(t0.Add(time.Second), "198.51.100.81", 10))
+		offerFlow(c, flow(t0.Add(time.Second), "198.51.100.81", 10))
 	}
 	cancel()
 	if err := <-runDone; err != nil {

@@ -158,14 +158,16 @@ type Stats struct {
 	Poisoned uint64
 	Panics   uint64
 	Restarts uint64
-	// Supervised is the per-component breakdown (stage workers,
+	// Supervised is the per-component breakdown (lane steps, sink,
 	// checkpointer, services), sorted by component name.
 	Supervised []SupervisedStatus
 
 	// FillQueue aggregates every lane's DNS ring and LookQueue every lane's
 	// flow ring; Lanes is the lane count behind them.
-	FillQueue  queue.Stats
-	LookQueue  queue.Stats
+	FillQueue queue.Stats
+	LookQueue queue.Stats
+	// WriteQueue is always zero: lanes hand their batches straight to the
+	// sink. The field stays because the benchmark harness still reads it.
 	WriteQueue queue.Stats
 	Lanes      int
 }
@@ -187,27 +189,27 @@ func (s Stats) CorrelationRateFlows() float64 {
 	return float64(s.Correlated) / float64(s.Flows)
 }
 
-// LossRate aggregates loss across the three stage queues — "loss on the
+// LossRate aggregates loss across the two intake rings — "loss on the
 // streams" in the paper's terminology. It counts both accidental overflow
 // (Dropped) and deliberate adaptive shed (Sampled): a record the operator
 // chose to sacrifice is still a record the rollups never saw.
 func (s Stats) LossRate() float64 {
-	offered := s.FillQueue.Offered() + s.LookQueue.Offered() + s.WriteQueue.Offered()
+	offered := s.FillQueue.Offered() + s.LookQueue.Offered()
 	if offered == 0 {
 		return 0
 	}
-	lost := s.FillQueue.Lost() + s.LookQueue.Lost() + s.WriteQueue.Lost()
+	lost := s.FillQueue.Lost() + s.LookQueue.Lost()
 	return float64(lost) / float64(offered)
 }
 
 // SampledRate is the deliberate-shed share alone: Sampled over Offered
-// across the stage queues. LossRate − SampledRate is the accidental part.
+// across the intake rings. LossRate − SampledRate is the accidental part.
 func (s Stats) SampledRate() float64 {
-	offered := s.FillQueue.Offered() + s.LookQueue.Offered() + s.WriteQueue.Offered()
+	offered := s.FillQueue.Offered() + s.LookQueue.Offered()
 	if offered == 0 {
 		return 0
 	}
-	sampled := s.FillQueue.Sampled + s.LookQueue.Sampled + s.WriteQueue.Sampled
+	sampled := s.FillQueue.Sampled + s.LookQueue.Sampled
 	return float64(sampled) / float64(offered)
 }
 
@@ -238,7 +240,6 @@ func (c *Correlator) Stats() Stats {
 		RestoredExpired:    uint64(c.restoreStats.Expired),
 		FillQueue:          c.dns.stats(),
 		LookQueue:          c.flows.stats(),
-		WriteQueue:         c.write.stats(),
 		Lanes:              c.Lanes(),
 	}
 	for i := range st.ChainHist {

@@ -14,7 +14,7 @@ import (
 )
 
 // Component names under supervision: a lane worker's fill and look steps,
-// the Write workers, and the checkpointer. Services appear as
+// its sink calls (write), and the checkpointer. Services appear as
 // "service:<Name>".
 const (
 	compFill       = "fill"

@@ -16,11 +16,11 @@ import (
 )
 
 // superviseConfig is a small deterministic pipeline: one lane so batches
-// are not partitioned, one Write worker, and a fast restart backoff so
-// supervised restarts do not slow tests down.
+// are not partitioned, and a fast restart backoff so supervised restarts
+// do not slow tests down.
 func superviseConfig() Config {
 	return Config{
-		Lanes: 1, WriteWorkers: 1,
+		Lanes:             1,
 		RestartBackoffMin: time.Millisecond,
 		RestartBackoffMax: 2 * time.Millisecond,
 	}
@@ -92,7 +92,7 @@ func TestFillPoisonContainment(t *testing.T) {
 		// drain path.
 		deadline := time.After(5 * time.Second)
 		for {
-			if f, _, _ := c.QueueDepths(); f == 0 {
+			if f, _ := c.QueueDepths(); f == 0 {
 				break
 			}
 			select {

@@ -15,8 +15,8 @@
 //
 // The sink batches by size and time: WriteBatch appends to a reusable line
 // buffer and ships it when it passes MaxBatchBytes; Flush — called by the
-// Write workers after every partial batch — ships whatever has lingered
-// longer than FlushInterval; Close ships the rest unconditionally.
+// last correlation lane to go idle — ships whatever has lingered longer
+// than FlushInterval; Close ships the rest unconditionally.
 //
 // Failure handling is transactional so the sink composes with
 // core.RetrySink, which owns retries, backoff, and the spill queue: a
@@ -77,8 +77,8 @@ type Config struct {
 	MaxBatchBytes int
 	// FlushInterval is the time bound: a Flush call ships a non-empty
 	// buffer only once this much has passed since the last ship, so the
-	// Write workers' per-partial-batch Flush cadence does not defeat
-	// batching under light load (0 = 1 s; negative = ship on every Flush).
+	// lanes' flush-on-idle cadence does not defeat batching under light
+	// load (0 = 1 s; negative = ship on every Flush).
 	FlushInterval time.Duration
 }
 
@@ -212,8 +212,8 @@ func (s *Sink) WriteBatch(_ context.Context, batch []core.CorrelatedFlow) error 
 }
 
 // Flush ships the buffer if FlushInterval has passed since the last ship
-// (the Write workers call Flush after every partial batch; the interval
-// keeps those calls from degrading batches under light load).
+// (the last lane to go idle calls Flush; the interval keeps those calls
+// from degrading batches under light load).
 func (s *Sink) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -540,7 +540,6 @@ type lossStatus struct {
 	SampledRate float64   `json:"sampled_rate"`
 	Fill        lossQueue `json:"fill"`
 	Look        lossQueue `json:"look"`
-	Write       lossQueue `json:"write"`
 }
 
 // supervisionStatus is the /query/health robustness block: what the panic
@@ -599,7 +598,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, req *http.Request) {
 			SampledRate: ps.SampledRate(),
 			Fill:        lossQueue{Offered: ps.FillQueue.Offered(), Dropped: ps.FillQueue.Dropped, Sampled: ps.FillQueue.Sampled},
 			Look:        lossQueue{Offered: ps.LookQueue.Offered(), Dropped: ps.LookQueue.Dropped, Sampled: ps.LookQueue.Sampled},
-			Write:       lossQueue{Offered: ps.WriteQueue.Offered(), Dropped: ps.WriteQueue.Dropped, Sampled: ps.WriteQueue.Sampled},
 		}
 		resp.Supervision = &supervisionStatus{
 			Poisoned:   ps.Poisoned,
@@ -673,14 +671,10 @@ func writePipelineMetrics(p *metrics.PromWriter, st core.Stats) {
 		map[string]string{"queue": "fill"}, st.FillQueue.Dropped)
 	p.Counter("flowdns_queue_dropped_total", "Records dropped at a stage queue.",
 		map[string]string{"queue": "look"}, st.LookQueue.Dropped)
-	p.Counter("flowdns_queue_dropped_total", "Records dropped at a stage queue.",
-		map[string]string{"queue": "write"}, st.WriteQueue.Dropped)
 	p.Counter("flowdns_queue_sampled_total", "Records deliberately shed by the adaptive sampler.",
 		map[string]string{"queue": "fill"}, st.FillQueue.Sampled)
 	p.Counter("flowdns_queue_sampled_total", "Records deliberately shed by the adaptive sampler.",
 		map[string]string{"queue": "look"}, st.LookQueue.Sampled)
-	p.Counter("flowdns_queue_sampled_total", "Records deliberately shed by the adaptive sampler.",
-		map[string]string{"queue": "write"}, st.WriteQueue.Sampled)
 	p.Gauge("flowdns_loss_rate", "Lost (dropped + sampled) over offered, across all stage queues.", nil, st.LossRate())
 	p.Gauge("flowdns_sampled_rate", "Deliberately sampled over offered, across all stage queues.", nil, st.SampledRate())
 	p.Counter("flowdns_poisoned_total", "Records dropped by panic containment.", nil, st.Poisoned)

@@ -356,9 +356,8 @@ func TestServeLifecycle(t *testing.T) {
 func TestMetricsSampledCounters(t *testing.T) {
 	pipeline := func() core.Stats {
 		return core.Stats{
-			FillQueue:  queue.Stats{Enqueued: 70, Dropped: 10, Sampled: 20},
-			LookQueue:  queue.Stats{Enqueued: 95, Sampled: 5},
-			WriteQueue: queue.Stats{Enqueued: 100},
+			FillQueue: queue.Stats{Enqueued: 70, Dropped: 10, Sampled: 20},
+			LookQueue: queue.Stats{Enqueued: 95, Sampled: 5},
 		}
 	}
 	srv := newTestServer(t, goldenStore(t), WithPipelineStats(pipeline))
@@ -366,16 +365,18 @@ func TestMetricsSampledCounters(t *testing.T) {
 	for _, want := range []string{
 		`flowdns_queue_sampled_total{queue="fill"} 20`,
 		`flowdns_queue_sampled_total{queue="look"} 5`,
-		`flowdns_queue_sampled_total{queue="write"} 0`,
 		`flowdns_queue_dropped_total{queue="fill"} 10`,
-		// (10+20+5+0) lost / (100+100+100) offered
-		"flowdns_loss_rate 0.11666666666666667\n",
-		// (20+5+0) sampled / 300 offered
-		"flowdns_sampled_rate 0.08333333333333333\n",
+		// (10+20+5) lost / (100+100) offered
+		"flowdns_loss_rate 0.175\n",
+		// (20+5) sampled / 200 offered
+		"flowdns_sampled_rate 0.125\n",
 	} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("missing %q in:\n%s", want, body)
 		}
+	}
+	if bytes.Contains(body, []byte(`queue="write"`)) {
+		t.Errorf("write queue series still exported:\n%s", body)
 	}
 }
 
@@ -385,9 +386,8 @@ func TestMetricsSampledCounters(t *testing.T) {
 func TestHealthLossBlock(t *testing.T) {
 	pipeline := func() core.Stats {
 		return core.Stats{
-			FillQueue:  queue.Stats{Enqueued: 70, Dropped: 10, Sampled: 20},
-			LookQueue:  queue.Stats{Enqueued: 100},
-			WriteQueue: queue.Stats{Enqueued: 50, Sampled: 50},
+			FillQueue: queue.Stats{Enqueued: 70, Dropped: 10, Sampled: 20},
+			LookQueue: queue.Stats{Enqueued: 50, Sampled: 50},
 		}
 	}
 	srv := newTestServer(t, goldenStore(t), WithPipelineStats(pipeline))
@@ -402,13 +402,13 @@ func TestHealthLossBlock(t *testing.T) {
 	if h.Loss.Fill != (lossQueue{Offered: 100, Dropped: 10, Sampled: 20}) {
 		t.Fatalf("fill loss = %+v", h.Loss.Fill)
 	}
-	if h.Loss.Write != (lossQueue{Offered: 100, Sampled: 50}) {
-		t.Fatalf("write loss = %+v", h.Loss.Write)
+	if h.Loss.Look != (lossQueue{Offered: 100, Sampled: 50}) {
+		t.Fatalf("look loss = %+v", h.Loss.Look)
 	}
-	if want := 80.0 / 300.0; h.Loss.LossRate != want {
+	if want := 80.0 / 200.0; h.Loss.LossRate != want {
 		t.Fatalf("loss_rate = %v, want %v", h.Loss.LossRate, want)
 	}
-	if want := 70.0 / 300.0; h.Loss.SampledRate != want {
+	if want := 70.0 / 200.0; h.Loss.SampledRate != want {
 		t.Fatalf("sampled_rate = %v, want %v", h.Loss.SampledRate, want)
 	}
 

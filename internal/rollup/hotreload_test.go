@@ -13,7 +13,7 @@ import (
 )
 
 // TestSinkHotReloadUnderLoad swaps the BGP table and the blocklist while
-// Write workers hammer the sink, then checks the two halves of the
+// concurrent writers hammer the sink, then checks the two halves of the
 // hot-reload contract: zero dropped lookups (every observed byte is
 // attributed under exactly one key — totals conserve) and post-swap batches
 // attributed against the new table and list.

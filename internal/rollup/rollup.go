@@ -12,8 +12,8 @@
 // Structure:
 //
 //   - Rollup is the counter engine: a fixed set of shards, each owning its
-//     own window map, so concurrent writers (Write workers, correlation
-//     lanes) never contend on a shared structure. The hot-path Observe is
+//     own window map, so concurrent writers (the correlation lanes) never
+//     contend on a shared structure. The hot-path Observe is
 //     allocation-free once a (window, key) pair exists.
 //   - Windows are aligned intervals of the flow timestamp. A sealed window
 //     is a merge-snapshot: per-shard partial aggregates combined with an
@@ -38,7 +38,7 @@ import (
 const DefaultWindow = time.Minute
 
 // DefaultShards is the default shard count. It only needs to cover the
-// number of concurrent observers (Write workers or correlation lanes);
+// number of concurrent observers (the correlation lanes);
 // 8 leaves headroom without bloating seal-time merges.
 const DefaultShards = 8
 
@@ -247,7 +247,7 @@ func (r *Rollup) Observe(shardIdx int, ts time.Time, key Key, bytes, packets uin
 }
 
 // NextShard hands out shard indexes round-robin — how batch observers
-// (the Sink's Write workers) pick a shard per batch so concurrent batches
+// (the Sink's lane workers) pick a shard per batch so concurrent batches
 // land on different shards.
 func (r *Rollup) NextShard() int {
 	return int(r.rr.Add(1)-1) % len(r.shards)

@@ -59,7 +59,7 @@ const minSealGrace = 2 * time.Second
 // normalized by the correlator, the BGP and blocklist lookups allocate
 // nothing, and the engine's Observe hit path is allocation-free by design.
 // Each WriteBatch call claims one engine shard for the whole batch, so
-// concurrent Write workers land on different shards and never contend.
+// concurrent lane workers land on different shards and never contend.
 //
 // With WithRotation, a background ticker seals every window that has been
 // over for at least a rotation interval and exports it; Close stops the
@@ -171,7 +171,7 @@ func (s *Sink) Engine() *Rollup { return s.r }
 
 // WriteBatch attributes and observes every record. The whole batch lands
 // on one engine shard, claimed round-robin and locked once — concurrent
-// Write workers never touch the same shard, so the longer critical
+// lane workers never touch the same shard, so the longer critical
 // section amortizes the lock instead of contending (the attribution
 // lookups held under it are read-only: a frozen table, an RLocked list).
 // It never fails: rollups are counters, and export errors surface from

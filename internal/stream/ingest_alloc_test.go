@@ -81,9 +81,7 @@ type countIngest struct {
 	records int
 }
 
-func (c *countIngest) OfferDNS(DNSRecord) bool           { return true }
-func (c *countIngest) OfferDNSBatch(r []DNSRecord) int   { c.records += len(r); return len(r) }
-func (c *countIngest) OfferFlow(netflow.FlowRecord) bool { return true }
+func (c *countIngest) OfferDNSBatch(r []DNSRecord) int { c.records += len(r); return len(r) }
 func (c *countIngest) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	c.records += len(frs)
 	return len(frs)

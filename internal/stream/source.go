@@ -14,18 +14,14 @@ import (
 )
 
 // Ingest is the stable façade through which sources feed the correlator.
-// Offers never block: a false return (or a short batch count) means the
-// stage buffer overflowed and the records were dropped — the paper's
-// stream-buffer loss. The correlator implements Ingest; sources never see
-// its internal queues.
+// Offers never block: a short batch count means the stage buffer
+// overflowed and the records were dropped — the paper's stream-buffer
+// loss. The correlator implements Ingest; sources never see its internal
+// queues. A single record is offered as a batch of one.
 type Ingest interface {
-	// OfferDNS places one DNS record on the FillUp stage.
-	OfferDNS(rec DNSRecord) bool
 	// OfferDNSBatch places a batch of DNS records on the FillUp stage and
 	// returns how many were accepted.
 	OfferDNSBatch(recs []DNSRecord) int
-	// OfferFlow places one flow record on the LookUp stage.
-	OfferFlow(fr netflow.FlowRecord) bool
 	// OfferFlowBatch places a batch of flow records on the LookUp stage and
 	// returns how many were accepted.
 	OfferFlowBatch(frs []netflow.FlowRecord) int

@@ -29,9 +29,7 @@ func newTestIngest(dnsCap, flowCap int) *testIngest {
 	return &testIngest{dns: queue.New[DNSRecord](dnsCap), flow: queue.New[netflow.FlowRecord](flowCap)}
 }
 
-func (t *testIngest) OfferDNS(rec DNSRecord) bool          { return t.dns.Offer(rec) }
-func (t *testIngest) OfferDNSBatch(recs []DNSRecord) int   { return t.dns.OfferBatch(recs) }
-func (t *testIngest) OfferFlow(fr netflow.FlowRecord) bool { return t.flow.Offer(fr) }
+func (t *testIngest) OfferDNSBatch(recs []DNSRecord) int { return t.dns.OfferBatch(recs) }
 func (t *testIngest) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	return t.flow.OfferBatch(frs)
 }

@@ -61,10 +61,19 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 // the stream like a peer reset; delay stalls the reader like a slow peer).
 var fpDNSRead = fault.New("stream.dns.read")
 
+// dnsPutter is the optional Ingest capability a TCP DNS source prefers:
+// PutDNSBatch waits for buffer space instead of dropping. The correlator
+// implements it; the cluster router, which never blocks, does not.
+type dnsPutter interface {
+	PutDNSBatch(recs []DNSRecord) int
+}
+
 // DNSTCPSource reads framed DNS responses from a TCP connection, flattens
-// them, and offers the records through the ingest façade. Records the
-// façade rejects (stage buffer full) are dropped and counted — the paper's
-// stream-buffer loss.
+// them, and hands the records to the ingest façade. When the façade can
+// wait (PutDNSBatch), a full buffer stalls the reader and TCP flow control
+// carries the stall back to the sender, so nothing is lost; otherwise
+// records the façade rejects (stage buffer full) are dropped and counted —
+// the paper's stream-buffer loss.
 type DNSTCPSource struct {
 	conn net.Conn
 	// Clock assigns receive timestamps; tests and replays inject their own.
@@ -94,9 +103,13 @@ func (s *DNSTCPSource) Run(ctx context.Context, in Ingest) error {
 	defer s.conn.Close()
 	defer closeOnDone(ctx, func() { s.conn.Close() })()
 	buf := make([]byte, 0, 4096)
-	// One flatten buffer per connection: OfferDNSBatch copies records into
-	// the stage queue, so the buffer is free again the moment it returns.
+	// One flatten buffer per connection: the offer copies records into the
+	// stage queue, so the buffer is free again the moment it returns.
 	recs := make([]DNSRecord, 0, 16)
+	offer := in.OfferDNSBatch
+	if p, ok := in.(dnsPutter); ok {
+		offer = p.PutDNSBatch
+	}
 	for {
 		if err := fpDNSRead.Inject(); err != nil {
 			return fmt.Errorf("stream: dns tcp read: %w", err)
@@ -129,7 +142,7 @@ func (s *DNSTCPSource) Run(ctx context.Context, in Ingest) error {
 			continue
 		}
 		if recs = FlattenResponseInto(recs[:0], msg, s.Clock()); len(recs) > 0 {
-			accepted := in.OfferDNSBatch(recs)
+			accepted := offer(recs)
 			s.counts.records.Add(uint64(len(recs)))
 			s.counts.dropped.Add(uint64(len(recs) - accepted))
 		}

@@ -507,12 +507,10 @@ type countIngest struct {
 	dns, flows int
 }
 
-func (c *countIngest) OfferDNS(stream.DNSRecord) bool { c.dns++; return true }
 func (c *countIngest) OfferDNSBatch(recs []stream.DNSRecord) int {
 	c.dns += len(recs)
 	return len(recs)
 }
-func (c *countIngest) OfferFlow(netflow.FlowRecord) bool { c.flows++; return true }
 func (c *countIngest) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	c.flows += len(frs)
 	return len(frs)

@@ -32,7 +32,6 @@ func undersizedConfig() core.Config {
 	cfg.Lanes = 2
 	cfg.FillQueueCap = 64 // 32 per lane
 	cfg.LookQueueCap = 64
-	cfg.WriteQueueCap = 1024
 	cfg.SampleLowWater = 0.25
 	cfg.SampleHighWater = 0.75
 	cfg.SampleMaxShed = 0.5
@@ -146,27 +145,24 @@ func TestOverloadSampledDegradationE2E(t *testing.T) {
 		t.Fatalf("offer counts moved during drain: fill %d/%d look %d/%d",
 			st.FillQueue.Offered(), offeredDNS, st.LookQueue.Offered(), offeredFlows)
 	}
-	// Write-stage invariant: everything the look workers dequeued was
-	// offered downstream, and the write queue accounts all of it.
-	if st.WriteQueue.Offered() != st.LookQueue.Dequeued {
-		t.Fatalf("write queue offered %d != look dequeued %d",
-			st.WriteQueue.Offered(), st.LookQueue.Dequeued)
+	// Write invariant: everything the lanes dequeued and did not poison
+	// reached the sink.
+	if st.Written != st.LookQueue.Dequeued-st.Poisoned {
+		t.Fatalf("written %d != look dequeued %d - poisoned %d",
+			st.Written, st.LookQueue.Dequeued, st.Poisoned)
 	}
 	if st.FlowInvalid != 0 || st.DNSInvalid != 0 {
 		t.Fatalf("flood records rejected as invalid: %+v", st)
 	}
-	if st.Written != st.WriteQueue.Dequeued {
-		t.Fatalf("written %d != write queue dequeued %d", st.Written, st.WriteQueue.Dequeued)
-	}
 
 	// Loss visibility: the rates must reflect the shed, and match the
 	// counters they summarize.
-	lost := st.FillQueue.Lost() + st.LookQueue.Lost() + st.WriteQueue.Lost()
-	offered := st.FillQueue.Offered() + st.LookQueue.Offered() + st.WriteQueue.Offered()
+	lost := st.FillQueue.Lost() + st.LookQueue.Lost()
+	offered := st.FillQueue.Offered() + st.LookQueue.Offered()
 	if want := float64(lost) / float64(offered); st.LossRate() != want {
 		t.Fatalf("LossRate = %v, want %v", st.LossRate(), want)
 	}
-	sampled := st.FillQueue.Sampled + st.LookQueue.Sampled + st.WriteQueue.Sampled
+	sampled := st.FillQueue.Sampled + st.LookQueue.Sampled
 	if want := float64(sampled) / float64(offered); st.SampledRate() != want {
 		t.Fatalf("SampledRate = %v, want %v", st.SampledRate(), want)
 	}
@@ -193,7 +189,7 @@ func TestOverloadSampledDegradationE2E(t *testing.T) {
 	}
 	t.Logf("flood: offered %d+%d, sampled %d, dropped %d, written %d",
 		offeredDNS, offeredFlows, sampled,
-		st.FillQueue.Dropped+st.LookQueue.Dropped+st.WriteQueue.Dropped, st.Written)
+		st.FillQueue.Dropped+st.LookQueue.Dropped, st.Written)
 }
 
 // TestOverloadSoak is the nightly overloaded soak: sustained generator
@@ -263,8 +259,8 @@ func TestOverloadSoak(t *testing.T) {
 	srcStats := src.Stats()
 
 	st := c.Stats()
-	t.Logf("overload soak: %v, source %+v, fill %+v look %+v write %+v written %d",
-		dur, srcStats, st.FillQueue, st.LookQueue, st.WriteQueue, st.Written)
+	t.Logf("overload soak: %v, source %+v, fill %+v look %+v written %d",
+		dur, srcStats, st.FillQueue, st.LookQueue, st.Written)
 	if st.LookQueue.Sampled == 0 && st.FillQueue.Sampled == 0 {
 		t.Fatalf("sustained overload never engaged the sampler: %+v", st)
 	}
@@ -281,11 +277,8 @@ func TestOverloadSoak(t *testing.T) {
 	if st.FillQueue.Offered() != offeredDNS {
 		t.Fatalf("fill queues account %d records, test offered %d", st.FillQueue.Offered(), offeredDNS)
 	}
-	if st.WriteQueue.Offered() != st.LookQueue.Dequeued {
-		t.Fatalf("write queue offered %d != look dequeued %d", st.WriteQueue.Offered(), st.LookQueue.Dequeued)
-	}
-	if st.Written != st.WriteQueue.Dequeued {
-		t.Fatalf("written %d != write queue dequeued %d", st.Written, st.WriteQueue.Dequeued)
+	if st.Written != st.LookQueue.Dequeued-st.Poisoned {
+		t.Fatalf("written %d != look dequeued %d - poisoned %d", st.Written, st.LookQueue.Dequeued, st.Poisoned)
 	}
 	total := uint64(0)
 	for _, n := range sink.Flows() {

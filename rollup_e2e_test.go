@@ -145,8 +145,11 @@ func TestRollupEndToEndMatchesCountingSink(t *testing.T) {
 	}
 
 	st := c.Stats()
-	if st.LookQueue.Dropped != 0 || st.WriteQueue.Dropped != 0 {
-		t.Fatalf("internal drops: look=%d write=%d", st.LookQueue.Dropped, st.WriteQueue.Dropped)
+	if st.LookQueue.Dropped != 0 {
+		t.Fatalf("internal drops: look=%d", st.LookQueue.Dropped)
+	}
+	if st.Written != st.LookQueue.Dequeued-st.Poisoned {
+		t.Fatalf("written %d != look dequeued %d - poisoned %d", st.Written, st.LookQueue.Dequeued, st.Poisoned)
 	}
 	if st.Written != uint64(sent) {
 		t.Fatalf("written %d != sent %d", st.Written, sent)

@@ -9,12 +9,12 @@
 # BenchmarkRestore, BenchmarkQueryRange, BenchmarkCompact,
 # BenchmarkInfluxEncode, BenchmarkSample, BenchmarkUDPIngest,
 # BenchmarkCmapTable, BenchmarkForwardFanout and
-# BenchmarkPipelineBatchedWrites (the one benchmark whose records cross all
-# three stage queues) on HEAD and on the base ref (in a temporary git
-# worktree), prints a benchstat comparison when benchstat is installed, and
-# compares per-benchmark median ns/op with a plain awk check: a benchmark
-# present in both runs that is more than TOLERANCE (default 1.20 = +20%
-# time, ≈ -17% throughput) slower fails the script. Benchmarks that exist
+# BenchmarkPipelineBatchedWrites (the one benchmark whose records cross the
+# whole pipeline) on HEAD and on the base ref (a git archive extract in a
+# temporary directory), prints a benchstat comparison when benchstat is
+# installed, and compares per-benchmark median ns/op with a plain awk
+# check: a benchmark present in both runs that is more than TOLERANCE
+# (default 1.20 = +20% time, ≈ -17% throughput) slower fails the script. Benchmarks that exist
 # only on HEAD (newly added) are skipped; a guarded benchmark present on
 # the base but MISSING from HEAD fails the script — a deleted or renamed
 # guard must be removed from BENCHES deliberately, not silently unguarded.
@@ -43,7 +43,6 @@ cd "$repo_root"
 
 tmp=$(mktemp -d)
 cleanup() {
-    git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
     rm -rf "$tmp"
 }
 trap cleanup EXIT
@@ -57,7 +56,8 @@ echo "==> benchmarks @ HEAD ($(git rev-parse --short HEAD))"
 run_bench "$repo_root" | tee "$tmp/head.txt"
 
 echo "==> benchmarks @ $BASE_REF"
-git worktree add --quiet --detach "$tmp/base" "$BASE_REF"
+mkdir -p "$tmp/base"
+git archive "$BASE_REF" | tar -x -C "$tmp/base"
 # A benchmark that fails on the base (one this change repairs, say) leaves
 # no base median and is then skipped like a newly added one; a failure on
 # HEAD above still aborts the script.
