@@ -26,37 +26,34 @@ func BenchmarkInfluxEncode(b *testing.B) {
 // BenchmarkSample measures the sampler's cost on the queue offer path: the
 // disabled case is the historical hot path (one extra branch), the enabled
 // cases pay the fill computation and the fixed-point credit accounting.
-// Consumers drain concurrently so offers land across the fill range.
+// One consumer drains concurrently, polling and parking on the bell as a
+// lane does, so offers land across the fill range.
 //
 //	go test -bench=BenchmarkSample -benchmem .
 func BenchmarkSample(b *testing.B) {
 	run := func(b *testing.B, sampler queue.SamplerConfig) {
-		q := queue.New[int](1024)
+		bell := queue.NewBell()
+		q := queue.New[int](1024, bell)
 		q.SetSampler(sampler)
-		stop := make(chan struct{})
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
+			ready := func() bool { return q.Len() > 0 || q.Drained() }
 			buf := make([]int, 0, 256)
-			for {
-				var ok bool
-				if buf, ok = q.TakeBatch(buf[:0], 256, 0); !ok {
-					return
-				}
-				select {
-				case <-stop:
-					return
-				default:
+			for !q.Drained() {
+				if buf = q.Poll(buf[:0], 256); len(buf) == 0 {
+					bell.Wait(ready)
 				}
 			}
 		}()
+		one := make([]int, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			q.Offer(i)
+			one[0] = i
+			q.OfferBatch(one)
 		}
 		b.StopTimer()
-		close(stop)
 		q.Close()
 		<-done
 	}

@@ -151,7 +151,7 @@ func (c *Correlator) Restore(r io.Reader, now time.Time) (RestoreStats, error) {
 	st := RestoreStats{Created: sr.Created()}
 	nowNs := now.UnixNano()
 
-	workers := len(c.interners)
+	workers := len(c.lanes)
 	secCh := make(chan *snapshot.Section, workers)
 	var wg sync.WaitGroup
 	var applied, expired atomic.Int64
@@ -220,11 +220,11 @@ func (c *Correlator) applySection(sec *snapshot.Section, nowNs int64) (applied, 
 		if binKeys && len(key) == 16 {
 			k := [16]byte(key)
 			h := ipHash(&k)
-			in := c.interners[c.laneForHash(h)]
+			in := c.lanes[c.laneForHash(h)].in
 			st.insertRestored(sec.Gen, h, k[:], "", in.intern(string(value)), exp, true)
 		} else {
 			h := cmap.HashBytes(key)
-			in := c.interners[c.laneForHash(h)]
+			in := c.lanes[c.laneForHash(h)].in
 			st.insertRestored(sec.Gen, h, nil, in.intern(string(key)), in.intern(string(value)), exp, false)
 		}
 		applied++

@@ -116,7 +116,8 @@ type Config struct {
 	// evenly (each lane's DNS ring gets FillQueueCap/Lanes and its flow
 	// ring LookQueueCap/Lanes, minimum 1). A single hot address can buffer
 	// up to one lane's share before that lane drops, so operators with
-	// skewed traffic should raise these and watch LaneDepths.
+	// skewed traffic should raise these. Correlator.LaneDepths reports each
+	// lane's occupancy; no metric exports it.
 	FillQueueCap int
 	LookQueueCap int
 

@@ -133,6 +133,8 @@ func WithMetrics(interval time.Duration, observe func(Stats)) Option {
 // through the sink — and read Stats at any time. The deterministic
 // IngestDNS/CorrelateFlow methods bypass the queues for offline replays.
 type Correlator struct {
+	stats statsCounters // first: its layout assumes a cache-line start
+
 	cfg      Config
 	sink     Sink
 	sources  []stream.Source
@@ -148,13 +150,12 @@ type Correlator struct {
 	ipName    *store // A/AAAA answer(IP) -> query name
 	nameCname *store // CNAME answer(canonical) -> query (alias)
 
-	// dns and flows are the FillUp and LookUp rings; lane l's worker
-	// (lane.go) drains dns.lanes[l] and flows.lanes[l], parking on bells[l],
-	// and writes what it correlates to the sink.
-	dns       *stage[stream.DNSRecord]
-	flows     *stage[flowEntry]
-	bells     []*queue.Bell
-	interners []*interner
+	// lanes are the pipeline's shards (lane.go), each drained by one worker
+	// that writes what it correlates to the sink. dnsParts and flowParts
+	// recycle the staging an offered batch is partitioned into.
+	lanes     []lane
+	dnsParts  sync.Pool // *partition[stream.DNSRecord]
+	flowParts sync.Pool // *partition[flowEntry]
 	lanesWG   sync.WaitGroup
 	// busyLanes counts lanes between finding work and finding none;
 	// unflushed is set by a sink write and cleared by the flush the last
@@ -182,8 +183,6 @@ type Correlator struct {
 	// sup tracks panic containment and supervised restarts per component
 	// (lane steps, sink, checkpointer, services).
 	sup supervisor
-
-	stats statsCounters
 }
 
 // New builds a Correlator with the given config. With no options the
@@ -214,7 +213,6 @@ func New(cfg Config, opts ...Option) *Correlator {
 			exactTTL:      cfg.ExactTTL,
 			sweepInterval: cfg.ExactTTLSweepInterval,
 		}),
-		interners:  make([]*interner, cfg.Lanes),
 		sinkFailed: make(chan struct{}),
 		draining:   make(chan struct{}),
 	}
@@ -224,14 +222,9 @@ func New(cfg Config, opts ...Option) *Correlator {
 		HighWater: cfg.SampleHighWater,
 		MaxShed:   cfg.SampleMaxShed,
 	}
-	for range cfg.Lanes {
-		c.bells = append(c.bells, queue.NewBell())
-	}
-	c.dns = newStage[stream.DNSRecord](c.bells, cfg.FillQueueCap, sampler)
-	c.flows = newStage[flowEntry](c.bells, cfg.LookQueueCap, sampler)
-	for i := range c.interners {
-		c.interners[i] = newInterner(defaultInternCap)
-	}
+	c.lanes = newLanes(cfg.Lanes, cfg.FillQueueCap, cfg.LookQueueCap, sampler)
+	c.dnsParts.New = newPartition[stream.DNSRecord](cfg.Lanes)
+	c.flowParts.New = newPartition[flowEntry](cfg.Lanes)
 	c.fillBufPool.New = func() any { return new(fillBuf) }
 	for _, opt := range opts {
 		if opt != nil {
@@ -277,11 +270,11 @@ func ipHash(key *[16]byte) uint32 {
 
 // laneForHash maps a key hash onto the lane owning it: the low bits of the
 // hash, exactly as the store's lane-major split layout uses them.
-func (c *Correlator) laneForHash(h uint32) int { return int(h % uint32(len(c.bells))) }
+func (c *Correlator) laneForHash(h uint32) int { return int(h % uint32(len(c.lanes))) }
 
 // laneFor returns the lane owning addr.
 func (c *Correlator) laneFor(addr netip.Addr) int {
-	if len(c.bells) == 1 {
+	if len(c.lanes) == 1 {
 		return 0
 	}
 	a16 := addr.As16()
@@ -293,7 +286,7 @@ func (c *Correlator) laneFor(addr netip.Addr) int {
 // materializes it first, so string-only and wire records for one IP agree),
 // others (CNAMEs, garbage answers) by the answer-string hash.
 func (c *Correlator) LaneFor(rec *stream.DNSRecord) int {
-	if rec.Addr.IsValid() || len(c.bells) == 1 {
+	if rec.Addr.IsValid() || len(c.lanes) == 1 {
 		return c.laneFor(rec.Addr)
 	}
 	return c.laneForHash(cmap.Hash(rec.Answer))
@@ -309,7 +302,7 @@ func (c *Correlator) flowLane(fr *netflow.FlowRecord) int {
 }
 
 // Lanes returns the number of lanes in effect.
-func (c *Correlator) Lanes() int { return len(c.bells) }
+func (c *Correlator) Lanes() int { return len(c.lanes) }
 
 // Config returns the normalized configuration in effect.
 func (c *Correlator) Config() Config { return c.cfg }
@@ -333,17 +326,19 @@ func (c *Correlator) enqueueDNS(recs []stream.DNSRecord, wait bool) int {
 	if len(recs) == 0 {
 		return 0
 	}
-	if len(c.dns.lanes) == 1 {
-		return c.dns.enqueue(0, recs, wait)
+	if len(c.lanes) == 1 {
+		return enqueue(c.lanes[0].dns, recs, wait)
 	}
-	p := c.dns.partition()
+	p := c.dnsParts.Get().(*partition[stream.DNSRecord])
 	for i := range recs {
 		r := recs[i]
 		r.TypeAnswerAddr()
 		l := c.LaneFor(&r)
 		p.lane[l] = append(p.lane[l], r)
 	}
-	return c.dns.offer(p, wait)
+	n := p.offer(c.lanes, dnsRing, wait)
+	c.dnsParts.Put(p)
+	return n
 }
 
 // OfferFlowBatch partitions a batch of flows onto their lanes — one arrival
@@ -356,12 +351,14 @@ func (c *Correlator) OfferFlowBatch(frs []netflow.FlowRecord) int {
 		return 0
 	}
 	now := time.Now()
-	p := c.flows.partition()
+	p := c.flowParts.Get().(*partition[flowEntry])
 	for i := range frs {
 		l := c.flowLane(&frs[i])
 		p.lane[l] = append(p.lane[l], flowEntry{fr: frs[i], at: now})
 	}
-	return c.flows.offer(p, false)
+	n := p.offer(c.lanes, flowRing, false)
+	c.flowParts.Put(p)
+	return n
 }
 
 var _ stream.Ingest = (*Correlator)(nil)
@@ -370,13 +367,23 @@ var _ stream.Ingest = (*Correlator)(nil)
 // "buffer usage" the paper's operators watch to keep loss at zero — each
 // aggregated over every lane; LaneDepths has the per-lane breakdown.
 func (c *Correlator) QueueDepths() (fill, look int) {
-	return c.dns.depth(), c.flows.depth()
+	for i := range c.lanes {
+		fill += c.lanes[i].dns.Len()
+		look += c.lanes[i].flows.Len()
+	}
+	return fill, look
 }
 
 // LaneDepths reports each lane's DNS and flow ring occupancy — the skew
 // monitor for the address partition (a hot address shows up as one deep
 // lane).
-func (c *Correlator) LaneDepths() (dns, flows []int) { return c.dns.depths(), c.flows.depths() }
+func (c *Correlator) LaneDepths() (dns, flows []int) {
+	dns, flows = make([]int, len(c.lanes)), make([]int, len(c.lanes))
+	for i := range c.lanes {
+		dns[i], flows[i] = c.lanes[i].dns.Len(), c.lanes[i].flows.Len()
+	}
+	return dns, flows
+}
 
 // Run executes the pipeline: it launches the lane workers plus every
 // attached source, then blocks until one of
@@ -480,8 +487,9 @@ func (c *Correlator) Run(ctx context.Context) error {
 	// in PutDNSBatch is released by the still-running lanes, not by a close.
 	stopSources()
 	wgSrc.Wait()
-	c.dns.close()
-	c.flows.close()
+	for i := range c.lanes {
+		c.lanes[i].close()
+	}
 	c.lanesWG.Wait()
 	stopMetrics()
 	stopCheckpointer()
@@ -627,11 +635,11 @@ func (c *Correlator) IngestDNS(rec stream.DNSRecord) {
 		h := ipHash(&key)
 		// One hash serves lane/interner selection, split labeling, and
 		// shard selection.
-		in := c.interners[c.laneForHash(h)]
+		in := c.lanes[c.laneForHash(h)].in
 		value := in.intern(dnsname.Normalize(rec.Query))
 		c.ipName.putBytesHash(rec.Timestamp, rec.TTL, h, key[:], value)
 	case dnswire.TypeCNAME:
-		in := c.interners[c.laneForHash(cmap.Hash(rec.Answer))]
+		in := c.lanes[c.laneForHash(cmap.Hash(rec.Answer))].in
 		value := in.intern(dnsname.Normalize(rec.Query))
 		c.nameCname.put(rec.Timestamp, rec.TTL, in.intern(dnsname.Normalize(rec.Answer)), value)
 	}
@@ -655,7 +663,7 @@ func (c *Correlator) IngestDNSBatch(recs []stream.DNSRecord) {
 		return
 	}
 	buf := c.fillBufPool.Get().(*fillBuf)
-	c.ingestBatch(recs, c.interners[c.LaneFor(&recs[0])], buf)
+	c.ingestBatch(recs, c.lanes[c.LaneFor(&recs[0])].in, buf)
 	c.fillBufPool.Put(buf)
 }
 

@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dnswire"
 	"repro/internal/netflow"
+	"repro/internal/queue"
+	"repro/internal/stream"
 )
 
 func laneFlow(ts time.Time, srcIP, dstIP string, bytes uint64) netflow.FlowRecord {
@@ -120,6 +123,74 @@ func TestLaneDefaults(t *testing.T) {
 	c := New(DefaultConfig())
 	if dns, flows := c.LaneDepths(); c.Lanes() != DefaultNumSplit || len(dns) != DefaultNumSplit || len(flows) != DefaultNumSplit {
 		t.Fatalf("Lanes() = %d, LaneDepths = %v / %v", c.Lanes(), dns, flows)
+	}
+}
+
+// TestLaneLedgerSumsOverLanes overloads sampled lanes no worker drains, so
+// every lane's DNS and flow ring enqueues, sheds and drops, and requires
+// the counters Stats sums over the lanes to account for every offered
+// record.
+func TestLaneLedgerSumsOverLanes(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Lanes = 3
+	cfg.FillQueueCap, cfg.LookQueueCap = 48, 48 // 16 per lane ring
+	cfg.SampleLowWater, cfg.SampleHighWater, cfg.SampleMaxShed = 0.25, 0.75, 0.5
+	c := New(cfg)
+	const offered = 600
+	ts := time.Unix(1653475200, 0)
+	dnsAccepted, flowAccepted := 0, 0
+	for base := 0; base < offered; base += 20 {
+		recs := make([]stream.DNSRecord, 20)
+		frs := make([]netflow.FlowRecord, 20)
+		for i := range frs {
+			addr := netip.AddrFrom4([4]byte{10, 1, byte((base + i) / 256), byte(base + i)})
+			recs[i] = stream.DNSRecord{Timestamp: ts, Query: "svc.example", RType: dnswire.TypeA, TTL: 60, Addr: addr}
+			frs[i] = netflow.FlowRecord{Timestamp: ts, SrcIP: addr, DstIP: addr}
+		}
+		dnsAccepted += c.OfferDNSBatch(recs)
+		flowAccepted += c.OfferFlowBatch(frs)
+	}
+	st := c.Stats()
+	for _, ring := range []struct {
+		name     string
+		st       queue.Stats
+		accepted int
+		lanes    func(*lane) queue.Stats
+	}{
+		{"dns", st.FillQueue, dnsAccepted, func(ln *lane) queue.Stats { return ln.dns.Stats() }},
+		{"flow", st.LookQueue, flowAccepted, func(ln *lane) queue.Stats { return ln.flows.Stats() }},
+	} {
+		qs := ring.st
+		if qs.Offered() != offered || qs.Enqueued+qs.Dropped+qs.Sampled != offered {
+			t.Fatalf("%s ledger: offered %d != enqueued %d + dropped %d + sampled %d (sent %d)",
+				ring.name, qs.Offered(), qs.Enqueued, qs.Dropped, qs.Sampled, offered)
+		}
+		if qs.Enqueued != 48 || qs.Sampled == 0 || qs.Dropped == 0 {
+			t.Fatalf("%s: want full lanes and both loss kinds exercised, got %+v", ring.name, qs)
+		}
+		if uint64(ring.accepted) != qs.Enqueued+qs.Sampled {
+			t.Fatalf("%s: offers returned %d accepted, rings say %d", ring.name, ring.accepted, qs.Enqueued+qs.Sampled)
+		}
+		var perLane uint64
+		for i := range c.lanes {
+			ls := ring.lanes(&c.lanes[i])
+			if ls.Offered() != ls.Enqueued+ls.Dropped+ls.Sampled {
+				t.Fatalf("%s lane %d ledger broken: %+v", ring.name, i, ls)
+			}
+			perLane += ls.Offered()
+		}
+		if perLane != offered {
+			t.Fatalf("%s lanes saw %d records, want %d", ring.name, perLane, offered)
+		}
+	}
+	if fill, look := c.QueueDepths(); fill != 48 || look != 48 {
+		t.Fatalf("QueueDepths = %d, %d; want 48, 48", fill, look)
+	}
+	dns, flows := c.LaneDepths()
+	for l := range c.lanes {
+		if dns[l] != 16 || flows[l] != 16 {
+			t.Fatalf("lane %d depths = %d, %d; want 16, 16", l, dns[l], flows[l])
+		}
 	}
 }
 

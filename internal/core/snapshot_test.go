@@ -361,14 +361,14 @@ func TestRestoreReinterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	interned := 0
-	for _, in := range c2.interners {
-		interned += in.size()
+	for i := range c2.lanes {
+		interned += c2.lanes[i].in.size()
 	}
 	if interned == 0 {
 		t.Fatal("restore bypassed the interners")
 	}
-	if interned > len(c2.interners) {
-		t.Fatalf("one name interned %d times across %d lanes", interned, len(c2.interners))
+	if interned > len(c2.lanes) {
+		t.Fatalf("one name interned %d times across %d lanes", interned, len(c2.lanes))
 	}
 }
 

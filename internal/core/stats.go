@@ -10,26 +10,31 @@ import (
 // so bucket 7 collects anything at the cap.
 const maxChainBucket = 8
 
-// statsCounters is the live, atomically updated counter block.
+// statsCounters is the live, atomically updated counter block. The eight
+// counters every LookUp flush may add to come first, filling one 64-byte
+// cache line when the block starts one (it is the Correlator's first
+// field), and the chain histogram fills the next: concurrent CorrelateFlow
+// callers then contend on two lines rather than on however many the
+// surrounding fields happen to spread them over.
 type statsCounters struct {
-	dnsRecords atomic.Uint64
-	dnsInvalid atomic.Uint64
-
-	flows       atomic.Uint64
-	flowInvalid atomic.Uint64
-	flowBytes   atomic.Uint64
-
+	flows           atomic.Uint64
+	flowBytes       atomic.Uint64
 	correlated      atomic.Uint64
 	correlatedBytes atomic.Uint64
 	misses          atomic.Uint64
+	hitActive       atomic.Uint64
+	hitInactive     atomic.Uint64
+	hitLong         atomic.Uint64
 
-	hitActive   atomic.Uint64
-	hitInactive atomic.Uint64
-	hitLong     atomic.Uint64
+	chain [maxChainBucket]atomic.Uint64
 
-	memoized atomic.Uint64
-	written  atomic.Uint64
+	flowInvalid atomic.Uint64
+	memoized    atomic.Uint64
 
+	dnsRecords atomic.Uint64
+	dnsInvalid atomic.Uint64
+
+	written       atomic.Uint64
 	maxWriteDelay atomic.Int64 // ns
 
 	checkpoints      atomic.Uint64
@@ -39,8 +44,6 @@ type statsCounters struct {
 	// whose processing panicked, sacrificed so the worker (and the process)
 	// survive.
 	poisoned atomic.Uint64
-
-	chain [maxChainBucket]atomic.Uint64
 }
 
 // lookTally is a lane worker's batch-local LookUp counter block. Workers
@@ -238,9 +241,11 @@ func (c *Correlator) Stats() Stats {
 		CheckpointErrors:   c.stats.checkpointErrors.Load(),
 		RestoredEntries:    uint64(c.restoreStats.Entries),
 		RestoredExpired:    uint64(c.restoreStats.Expired),
-		FillQueue:          c.dns.stats(),
-		LookQueue:          c.flows.stats(),
 		Lanes:              c.Lanes(),
+	}
+	for i := range c.lanes {
+		st.FillQueue = addStats(st.FillQueue, c.lanes[i].dns.Stats())
+		st.LookQueue = addStats(st.LookQueue, c.lanes[i].flows.Stats())
 	}
 	for i := range st.ChainHist {
 		st.ChainHist[i] = c.stats.chain[i].Load()
@@ -253,4 +258,15 @@ func (c *Correlator) Stats() Stats {
 	}
 	st.IPNameEntries, st.NameCnameEntries = c.StoreSizes()
 	return st
+}
+
+// addStats sums two rings' counters; because each ring keeps Offered ==
+// Enqueued + Dropped + Sampled, so does the sum.
+func addStats(a, b queue.Stats) queue.Stats {
+	return queue.Stats{
+		Enqueued: a.Enqueued + b.Enqueued,
+		Dropped:  a.Dropped + b.Dropped,
+		Sampled:  a.Sampled + b.Sampled,
+		Dequeued: a.Dequeued + b.Dequeued,
+	}
 }

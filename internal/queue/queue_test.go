@@ -8,31 +8,53 @@ import (
 	"time"
 )
 
-// take dequeues one record, blocking like TakeBatch.
+// newQ returns a queue with a bell of its own.
+func newQ[T any](capacity int) *Queue[T] { return New[T](capacity, NewBell()) }
+
+// offer offers the one record v and reports whether the queue took
+// responsibility for it.
+func offer[T any](q *Queue[T], v T) bool { return q.OfferBatch([]T{v}) == 1 }
+
+// takeBatch is the test consumer, shaped like a lane worker: it polls up to
+// max records onto buf and, while the queue is empty and open, parks
+// through Bell.Wait. ok is false only once the queue is closed and drained.
+func takeBatch[T any](q *Queue[T], buf []T, max int) ([]T, bool) {
+	ready := func() bool { return q.Len() > 0 || q.Drained() }
+	start := len(buf)
+	for {
+		if buf = q.Poll(buf, max); len(buf) > start {
+			return buf, true
+		}
+		if q.Drained() {
+			return buf, false
+		}
+		q.bell.Wait(ready)
+	}
+}
+
+// take dequeues one record through takeBatch.
 func take[T any](q *Queue[T]) (v T, ok bool) {
 	var one [1]T
-	buf, ok := q.TakeBatch(one[:0], 1, 0)
+	buf, ok := takeBatch(q, one[:0], 1)
 	if ok {
 		v = buf[0]
 	}
 	return v, ok
 }
 
-// parkedNow reads how many consumers are parked on the queue's bell.
-func (q *Queue[T]) parkedNow() int { return int(q.bell.parked.Load()) }
-
-// waitParked returns once n consumers are parked on q: the event a test
-// waits for instead of sleeping until a consumer has probably blocked.
-func waitParked[T any](q *Queue[T], n int) {
-	for q.parkedNow() < n {
+// waitParked returns once q's consumer is parked on its bell: the event a
+// test waits for instead of sleeping until the consumer has probably
+// blocked.
+func waitParked[T any](q *Queue[T]) {
+	for !q.bell.parked.Load() {
 		runtime.Gosched()
 	}
 }
 
 func TestOfferTake(t *testing.T) {
-	q := New[int](4)
-	if !q.Offer(1) || !q.Offer(2) {
-		t.Fatal("Offer failed with space available")
+	q := newQ[int](4)
+	if !offer(q, 1) || !offer(q, 2) {
+		t.Fatal("offer failed with space available")
 	}
 	v, ok := take(q)
 	if !ok || v != 1 {
@@ -45,11 +67,11 @@ func TestOfferTake(t *testing.T) {
 }
 
 func TestOfferDropsWhenFull(t *testing.T) {
-	q := New[int](2)
-	q.Offer(1)
-	q.Offer(2)
-	if q.Offer(3) {
-		t.Fatal("Offer succeeded on a full queue")
+	q := newQ[int](2)
+	offer(q, 1)
+	offer(q, 2)
+	if offer(q, 3) {
+		t.Fatal("offer succeeded on a full queue")
 	}
 	st := q.Stats()
 	if st.Enqueued != 2 || st.Dropped != 1 {
@@ -61,9 +83,9 @@ func TestOfferDropsWhenFull(t *testing.T) {
 }
 
 func TestCloseDrains(t *testing.T) {
-	q := New[int](8)
+	q := newQ[int](8)
 	for i := 0; i < 5; i++ {
-		q.Offer(i)
+		offer(q, i)
 	}
 	q.Close()
 	q.Close() // idempotent
@@ -82,11 +104,11 @@ func TestCloseDrains(t *testing.T) {
 }
 
 func TestOfferAfterCloseCountsDrop(t *testing.T) {
-	q := New[int](1)
-	q.Offer(1)
+	q := newQ[int](1)
+	offer(q, 1)
 	q.Close()
-	if q.Offer(2) {
-		t.Fatal("Offer after close on full queue accepted")
+	if offer(q, 2) {
+		t.Fatal("offer after close on full queue accepted")
 	}
 	if st := q.Stats(); st.Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1", st.Dropped)
@@ -96,7 +118,7 @@ func TestOfferAfterCloseCountsDrop(t *testing.T) {
 // A single-record PutBatch on a full queue waits for a taker to free a slot
 // and loses nothing.
 func TestPutBlocksUntilSpace(t *testing.T) {
-	q := New[int](1)
+	q := newQ[int](1)
 	q.PutBatch([]int{1})
 	done := make(chan struct{})
 	go func() {
@@ -117,43 +139,48 @@ func TestPutBlocksUntilSpace(t *testing.T) {
 }
 
 func TestCapacityClamp(t *testing.T) {
-	q := New[int](0)
-	if q.Cap() != 1 {
-		t.Fatalf("Cap = %d, want 1", q.Cap())
+	q := newQ[int](0)
+	if n := q.OfferBatch([]int{1, 2}); n != 1 || q.Len() != 1 {
+		t.Fatalf("capacity 0 took %d (Len %d), want the clamped 1", n, q.Len())
 	}
 }
 
+// Len reports the buffer occupancy the sampler reads its fill from.
 func TestFill(t *testing.T) {
-	q := New[int](4)
-	if q.Fill() != 0 {
-		t.Fatalf("empty Fill = %v", q.Fill())
+	q := newQ[int](4)
+	if q.Len() != 0 {
+		t.Fatalf("empty Len = %d", q.Len())
 	}
-	q.Offer(1)
-	q.Offer(2)
-	if q.Fill() != 0.5 {
-		t.Fatalf("Fill = %v, want 0.5", q.Fill())
+	offer(q, 1)
+	offer(q, 2)
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", q.Len())
+	}
+	take(q)
+	if q.Len() != 1 {
+		t.Fatalf("Len after a take = %d, want 1", q.Len())
 	}
 }
 
+// Many producers against the one consumer, which parks whenever it drains
+// the ring: every put record comes out, and the counters agree.
 func TestConcurrentProducersConsumers(t *testing.T) {
-	q := New[int](128)
-	const producers, perProducer, consumers = 8, 1000, 4
-	var produced, consumed sync.WaitGroup
-	var got atomic64
-	consumed.Add(consumers)
-	for c := 0; c < consumers; c++ {
-		go func() {
-			defer consumed.Done()
-			buf := make([]int, 0, 7)
-			for {
-				var ok bool
-				if buf, ok = q.TakeBatch(buf[:0], 7, 0); !ok {
-					return
-				}
-				got.add(len(buf))
+	q := newQ[int](128)
+	const producers, perProducer = 8, 1000
+	var produced sync.WaitGroup
+	got := 0
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		buf := make([]int, 0, 7)
+		for {
+			var ok bool
+			if buf, ok = takeBatch(q, buf[:0], 7); !ok {
+				return
 			}
-		}()
-	}
+			got += len(buf)
+		}
+	}()
 	produced.Add(producers)
 	for p := 0; p < producers; p++ {
 		go func() {
@@ -169,13 +196,13 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	}
 	produced.Wait()
 	q.Close()
-	consumed.Wait()
+	<-consumed
 	st := q.Stats()
 	if st.Enqueued != producers*perProducer {
 		t.Fatalf("Enqueued = %d, want %d", st.Enqueued, producers*perProducer)
 	}
-	if got.load() != producers*perProducer || st.Dequeued != producers*perProducer {
-		t.Fatalf("consumed %d (stats %d), want %d", got.load(), st.Dequeued, producers*perProducer)
+	if got != producers*perProducer || st.Dequeued != producers*perProducer {
+		t.Fatalf("consumed %d (stats %d), want %d", got, st.Dequeued, producers*perProducer)
 	}
 }
 
@@ -183,10 +210,10 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 // Dequeued <= Enqueued, for arbitrary offer/take interleavings.
 func TestQuickCounterInvariants(t *testing.T) {
 	f := func(ops []bool, capacity uint8) bool {
-		q := New[int]((int(capacity) % 8) + 1)
-		for i, offer := range ops {
-			if offer {
-				q.Offer(i)
+		q := newQ[int]((int(capacity) % 8) + 1)
+		for i, op := range ops {
+			if op {
+				offer(q, i)
 			} else if q.Len() > 0 {
 				take(q)
 			}
@@ -206,7 +233,7 @@ func TestQuickCounterInvariants(t *testing.T) {
 }
 
 func TestOfferBatchAcceptsAndDrops(t *testing.T) {
-	q := New[int](4)
+	q := newQ[int](4)
 	if got := q.OfferBatch([]int{1, 2, 3}); got != 3 {
 		t.Fatalf("accepted = %d", got)
 	}
@@ -230,31 +257,35 @@ func TestOfferBatchAcceptsAndDrops(t *testing.T) {
 	}
 }
 
-func TestTakeBatchDrainsAvailable(t *testing.T) {
-	q := New[int](16)
-	q.PutBatch([]int{0, 1, 2, 3, 4})
-	buf, ok := q.TakeBatch(nil, 3, 0)
-	if !ok || len(buf) != 3 || buf[0] != 0 || buf[2] != 2 {
-		t.Fatalf("batch = %v ok=%v", buf, ok)
+func TestPollDrainsAvailable(t *testing.T) {
+	q := newQ[int](16)
+	if buf := q.Poll(nil, 4); len(buf) != 0 {
+		t.Fatalf("Poll on an empty queue = %v", buf)
 	}
-	// Fewer available than max: returns what is there without waiting.
-	buf, ok = q.TakeBatch(buf[:0], 10, 0)
-	if !ok || len(buf) != 2 {
-		t.Fatalf("batch = %v ok=%v", buf, ok)
+	q.PutBatch([]int{0, 1, 2, 3, 4})
+	buf := q.Poll(nil, 3)
+	if len(buf) != 3 || buf[0] != 0 || buf[2] != 2 {
+		t.Fatalf("batch = %v", buf)
+	}
+	// Fewer available than max: returns what is there.
+	buf = q.Poll(buf[:0], 10)
+	if len(buf) != 2 || buf[0] != 3 {
+		t.Fatalf("batch = %v", buf)
 	}
 	if st := q.Stats(); st.Dequeued != 5 {
 		t.Fatalf("dequeued = %d", st.Dequeued)
 	}
 }
 
-func TestTakeBatchBlocksForFirst(t *testing.T) {
-	q := New[int](4)
+// A consumer parked on an empty queue wakes for the first record put.
+func TestBellWakesParkedConsumer(t *testing.T) {
+	q := newQ[int](4)
 	done := make(chan []int, 1)
 	go func() {
-		buf, _ := q.TakeBatch(nil, 4, 0)
+		buf, _ := takeBatch(q, nil, 4)
 		done <- buf
 	}()
-	waitParked(q, 1)
+	waitParked(q)
 	q.PutBatch([]int{42})
 	select {
 	case buf := <-done:
@@ -262,75 +293,43 @@ func TestTakeBatchBlocksForFirst(t *testing.T) {
 			t.Fatalf("batch = %v", buf)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("TakeBatch never woke up")
+		t.Fatal("parked consumer never woke up")
 	}
 }
 
-func TestTakeBatchWaitGathersStragglers(t *testing.T) {
-	q := New[int](16)
-	q.PutBatch([]int{1})
-	go func() {
-		waitParked(q, 1) // the consumer holds record 1 and lingers
-		q.PutBatch([]int{2})
-	}()
-	// With a generous wait the late second record joins the batch.
-	buf, ok := q.TakeBatch(nil, 2, time.Second)
-	if !ok || len(buf) != 2 {
-		t.Fatalf("batch = %v ok=%v", buf, ok)
-	}
-}
-
-func TestTakeBatchWaitBounded(t *testing.T) {
-	q := New[int](16)
-	q.PutBatch([]int{1})
-	start := time.Now()
-	buf, ok := q.TakeBatch(nil, 8, 20*time.Millisecond)
-	if !ok || len(buf) != 1 {
-		t.Fatalf("batch = %v ok=%v", buf, ok)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("wait unbounded: %v", elapsed)
-	}
-}
-
-func TestTakeBatchClosedQueue(t *testing.T) {
-	q := New[int](4)
+// A closed queue is Drained only once its last record is taken.
+func TestDrainedAfterClose(t *testing.T) {
+	q := newQ[int](4)
 	q.PutBatch([]int{1})
 	q.Close()
-	buf, ok := q.TakeBatch(nil, 4, 0)
-	if !ok || len(buf) != 1 {
-		t.Fatalf("drain batch = %v ok=%v", buf, ok)
+	if q.Drained() {
+		t.Fatal("Drained with a record still buffered")
 	}
-	if buf, ok := q.TakeBatch(buf[:0], 4, 0); ok || len(buf) != 0 {
+	if buf := q.Poll(nil, 4); len(buf) != 1 {
+		t.Fatalf("drain batch = %v", buf)
+	}
+	if !q.Drained() {
+		t.Fatal("closed and empty queue not Drained")
+	}
+	if buf, ok := takeBatch(q, nil, 4); ok || len(buf) != 0 {
 		t.Fatalf("closed+drained returned %v ok=%v", buf, ok)
 	}
 }
 
-// small atomic helper keeping the test dependency-free
-type atomic64 struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (a *atomic64) add(d int) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
-func (a *atomic64) load() int { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
-
 func BenchmarkOfferTake(b *testing.B) {
-	q := New[int](1024)
+	q := newQ[int](1024)
 	b.RunParallel(func(pb *testing.PB) {
-		// Every goroutine takes only after its own offer landed, so the
-		// buffer always holds at least one record per blocked taker.
+		one := []int{1}
 		buf := make([]int, 0, 1)
 		for pb.Next() {
-			if q.Offer(1) {
-				buf, _ = q.TakeBatch(buf[:0], 1, 0)
-			}
+			q.OfferBatch(one)
+			buf = q.Poll(buf[:0], 1)
 		}
 	})
 }
 
 func TestPutBatchBlocksUntilSpace(t *testing.T) {
-	q := New[int](2)
+	q := newQ[int](2)
 	done := make(chan int, 1)
 	go func() { done <- q.PutBatch([]int{1, 2, 3, 4}) }()
 	select {
@@ -359,7 +358,7 @@ func TestPutBatchBlocksUntilSpace(t *testing.T) {
 }
 
 func TestPutBatchAfterCloseCountsDrops(t *testing.T) {
-	q := New[int](4)
+	q := newQ[int](4)
 	q.Close()
 	if n := q.PutBatch([]int{1, 2, 3}); n != 0 {
 		t.Fatalf("PutBatch on closed = %d", n)
@@ -370,7 +369,7 @@ func TestPutBatchAfterCloseCountsDrops(t *testing.T) {
 }
 
 func TestPutBatchEmpty(t *testing.T) {
-	q := New[int](1)
+	q := newQ[int](1)
 	if n := q.PutBatch(nil); n != 0 {
 		t.Fatalf("PutBatch(nil) = %d", n)
 	}
@@ -380,7 +379,8 @@ func TestPutBatchEmpty(t *testing.T) {
 // the ring's wrap point many times; every record must come out once, in
 // the order it went in.
 func TestRingWrapKeepsFIFO(t *testing.T) {
-	q := New[int](7)
+	const capacity = 7
+	q := newQ[int](capacity)
 	next, want := 0, 0
 	buf := make([]int, 0, 5)
 	for round := 0; round < 200; round++ {
@@ -391,12 +391,12 @@ func TestRingWrapKeepsFIFO(t *testing.T) {
 		if round%2 == 0 {
 			next += q.OfferBatch(in)
 		} else {
-			next += q.PutBatch(in[:min(len(in), q.Cap()-q.Len())])
+			next += q.PutBatch(in[:min(len(in), capacity-q.Len())])
 		}
 		var ok bool
-		buf, ok = q.TakeBatch(buf[:0], round%5+1, 0)
+		buf, ok = takeBatch(q, buf[:0], round%5+1)
 		if !ok {
-			t.Fatalf("round %d: TakeBatch on a non-empty queue reported closed", round)
+			t.Fatalf("round %d: take on a non-empty queue reported closed", round)
 		}
 		for _, v := range buf {
 			if v != want {
@@ -408,7 +408,7 @@ func TestRingWrapKeepsFIFO(t *testing.T) {
 	q.Close()
 	for {
 		var ok bool
-		if buf, ok = q.TakeBatch(buf[:0], 5, 0); !ok {
+		if buf, ok = takeBatch(q, buf[:0], 5); !ok {
 			break
 		}
 		for _, v := range buf {
@@ -426,7 +426,7 @@ func TestRingWrapKeepsFIFO(t *testing.T) {
 // A PutBatch larger than the whole ring goes in chunk by chunk as a
 // consumer frees space, and loses nothing.
 func TestPutBatchLargerThanCapacity(t *testing.T) {
-	q := New[int](4)
+	q := newQ[int](4)
 	vs := make([]int, 100)
 	for i := range vs {
 		vs[i] = i
@@ -437,7 +437,7 @@ func TestPutBatchLargerThanCapacity(t *testing.T) {
 	buf := make([]int, 0, 3)
 	for want < len(vs) {
 		var ok bool
-		if buf, ok = q.TakeBatch(buf[:0], 3, 0); !ok {
+		if buf, ok = takeBatch(q, buf[:0], 3); !ok {
 			t.Fatal("queue closed under a blocked PutBatch")
 		}
 		for _, v := range buf {
@@ -455,87 +455,10 @@ func TestPutBatchLargerThanCapacity(t *testing.T) {
 	}
 }
 
-// Close wakes every consumer parked on an empty queue, not just one.
-func TestCloseWakesAllParked(t *testing.T) {
-	const consumers = 4
-	q := New[int](8)
-	oks := make(chan bool, consumers)
-	for i := 0; i < consumers; i++ {
-		go func() {
-			_, ok := q.TakeBatch(nil, 4, 0)
-			oks <- ok
-		}()
-	}
-	waitParked(q, consumers)
-	q.Close()
-	for i := 0; i < consumers; i++ {
-		select {
-		case ok := <-oks:
-			if ok {
-				t.Fatal("TakeBatch on a closed empty queue reported ok")
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%d of %d parked consumers never woke on Close", consumers-i, consumers)
-		}
-	}
-}
-
-// One offer carrying enough for every parked consumer wakes all of them:
-// the producer rings once, and each consumer that leaves records behind
-// rings for the next.
-func TestOfferBatchWakesAllParked(t *testing.T) {
-	const consumers, max = 4, 8
-	q := New[int](consumers * max)
-	got := make(chan int, consumers)
-	for i := 0; i < consumers; i++ {
-		go func() {
-			buf, _ := q.TakeBatch(nil, max, 0)
-			got <- len(buf)
-		}()
-	}
-	waitParked(q, consumers)
-	if n := q.OfferBatch(make([]int, consumers*max)); n != consumers*max {
-		t.Fatalf("OfferBatch = %d", n)
-	}
-	for i := 0; i < consumers; i++ {
-		select {
-		case n := <-got:
-			if n != max {
-				t.Fatalf("consumer took %d records, want %d", n, max)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%d of %d parked consumers never woke", consumers-i, consumers)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("%d records left behind", q.Len())
-	}
-}
-
-// A lingering consumer keeps what arrives during the linger and returns
-// the partial batch once the deadline passes, not before.
-func TestTakeBatchLingerReturnsPartialAtDeadline(t *testing.T) {
-	const wait = 30 * time.Millisecond
-	q := New[int](16)
-	q.Offer(1)
-	go func() {
-		waitParked(q, 1) // lingering with record 1
-		q.Offer(2)       // wakes it; it takes 2 and lingers on
-	}()
-	start := time.Now()
-	buf, ok := q.TakeBatch(nil, 8, wait)
-	if elapsed := time.Since(start); elapsed < wait {
-		t.Fatalf("returned after %v, before the %v deadline", elapsed, wait)
-	}
-	if !ok || len(buf) != 2 || buf[0] != 1 || buf[1] != 2 {
-		t.Fatalf("batch = %v ok=%v; want [1 2] true", buf, ok)
-	}
-}
-
-// Steady-state batch moves allocate nothing: no per-call timer when a full
-// batch is waiting, no per-record channel machinery.
+// Steady-state batch moves allocate nothing: no per-record channel
+// machinery, and a one-record offer on a reused slice costs no more.
 func TestBatchOpsAllocFree(t *testing.T) {
-	q := New[int](64)
+	q := newQ[int](64)
 	in := make([]int, 16)
 	buf := make([]int, 0, 16)
 	cases := []struct {
@@ -544,19 +467,19 @@ func TestBatchOpsAllocFree(t *testing.T) {
 	}{
 		{"OfferBatch", func() { q.OfferBatch(in) }},
 		{"PutBatch", func() { q.PutBatch(in) }},
-		{"Offer", func() {
+		{"OfferBatch1", func() {
 			for i := range in {
-				q.Offer(i)
+				q.OfferBatch(in[i : i+1])
 			}
 		}},
 	}
 	for _, c := range cases {
 		allocs := testing.AllocsPerRun(100, func() {
 			c.add()
-			buf, _ = q.TakeBatch(buf[:0], len(in), time.Second)
+			buf = q.Poll(buf[:0], len(in))
 		})
 		if allocs != 0 {
-			t.Errorf("%s+TakeBatch(wait>0): %.1f allocs/op, want 0", c.name, allocs)
+			t.Errorf("%s+Poll: %.1f allocs/op, want 0", c.name, allocs)
 		}
 	}
 }
@@ -600,12 +523,12 @@ func recv(t *testing.T, got <-chan int) (int, bool) {
 // on either of them.
 func TestSharedBellWakeOnEitherQueue(t *testing.T) {
 	bell := NewBell()
-	a, b := NewWithBell[int](8, bell), NewWithBell[int](8, bell)
+	a, b := New[int](8, bell), New[int](8, bell)
 	got := make(chan int)
 	go laneConsumer(a, b, bell, got)
 	for i, q := range []*Queue[int]{a, b, b, a} {
-		waitParked(q, 1)
-		q.Offer(i)
+		waitParked(q)
+		offer(q, i)
 		if v, _ := recv(t, got); v != i {
 			t.Fatalf("got %d, want %d", v, i)
 		}
@@ -621,17 +544,17 @@ func TestSharedBellWakeOnEitherQueue(t *testing.T) {
 // spinning; closing the second wakes it for good.
 func TestSharedBellWakeOnCloseOfBoth(t *testing.T) {
 	bell := NewBell()
-	a, b := NewWithBell[int](8, bell), NewWithBell[int](8, bell)
+	a, b := New[int](8, bell), New[int](8, bell)
 	got := make(chan int)
 	go laneConsumer(a, b, bell, got)
-	waitParked(a, 1)
+	waitParked(a)
 	a.Close()
-	waitParked(a, 1) // woke for the close, found b open, parked again
-	b.Offer(7)
+	waitParked(a) // woke for the close, found b open, parked again
+	offer(b, 7)
 	if v, ok := recv(t, got); !ok || v != 7 {
 		t.Fatalf("got %d,%v after one close; want 7,true", v, ok)
 	}
-	waitParked(b, 1)
+	waitParked(b)
 	b.Close()
 	if _, ok := recv(t, got); ok {
 		t.Fatal("consumer kept running after both queues closed")
@@ -643,7 +566,7 @@ func TestSharedBellWakeOnCloseOfBoth(t *testing.T) {
 func TestSharedBellWakeConcurrent(t *testing.T) {
 	const producers, each = 4, 2000
 	bell := NewBell()
-	a, b := NewWithBell[int](16, bell), NewWithBell[int](16, bell)
+	a, b := New[int](16, bell), New[int](16, bell)
 	got := make(chan int, 64)
 	go laneConsumer(a, b, bell, got)
 	var wg sync.WaitGroup
@@ -656,7 +579,7 @@ func TestSharedBellWakeConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				for !q.Offer(i) {
+				for !offer(q, i) {
 					runtime.Gosched()
 				}
 			}
@@ -683,7 +606,7 @@ func TestSharedBellWakeConcurrent(t *testing.T) {
 // work without parking, allocate nothing.
 func TestSharedBellWakeAllocFree(t *testing.T) {
 	bell := NewBell()
-	a, b := NewWithBell[int](64, bell), NewWithBell[int](64, bell)
+	a, b := New[int](64, bell), New[int](64, bell)
 	ready := func() bool { return a.Len() > 0 || b.Len() > 0 }
 	in := make([]int, 16)
 	buf := make([]int, 0, 32)

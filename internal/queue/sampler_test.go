@@ -7,13 +7,13 @@ import (
 )
 
 func TestSamplerDisabledByDefault(t *testing.T) {
-	q := New[int](4)
-	if q.Sampler().Enabled() {
+	q := newQ[int](4)
+	if q.sampler.Enabled() {
 		t.Fatal("zero SamplerConfig reports Enabled")
 	}
 	for i := 0; i < 4; i++ {
-		if !q.Offer(i) {
-			t.Fatalf("Offer(%d) failed with space available", i)
+		if !offer(q, i) {
+			t.Fatalf("offer(%d) failed with space available", i)
 		}
 	}
 	st := q.Stats()
@@ -56,12 +56,12 @@ func TestSamplerRateRamp(t *testing.T) {
 func TestSamplerDeterministicProportion(t *testing.T) {
 	const n = 10000
 	for _, batch := range []int{1, 3, 7, 64, 333} {
-		q := New[int](4)
+		q := newQ[int](4)
 		q.SetSampler(SamplerConfig{LowWater: 0.1, HighWater: 0.2, MaxShed: 0.25})
 		// Pin the queue above HighWater so the rate is constant MaxShed.
-		q.Offer(0)
-		q.Offer(0)
-		q.Offer(0)
+		offer(q, 0)
+		offer(q, 0)
+		offer(q, 0)
 		start := q.Stats()
 		vs := make([]int, batch)
 		offered := 0
@@ -83,15 +83,15 @@ func TestSamplerDeterministicProportion(t *testing.T) {
 }
 
 // Sampled records count as accepted from the producer's point of view:
-// Offer returns true and batch return values include them, so producer-side
-// "offered − accepted" keeps measuring accidental overflow only.
+// offer and put return values include them, so producer-side "offered −
+// accepted" keeps measuring accidental overflow only.
 func TestSampledCountsAsAccepted(t *testing.T) {
-	q := New[int](2)
+	q := newQ[int](2)
 	q.SetSampler(SamplerConfig{LowWater: 0, HighWater: 0, MaxShed: 1})
-	q.Offer(1) // fill > 0 after this; MaxShed=1 with degenerate watermarks sheds everything above fill 0
+	offer(q, 1) // fill > 0 after this; MaxShed=1 with degenerate watermarks sheds everything above fill 0
 	for i := 0; i < 10; i++ {
-		if !q.Offer(i) {
-			t.Fatalf("Offer(%d) = false for a sampled record; want true", i)
+		if !offer(q, i) {
+			t.Fatalf("offer(%d) = false for a sampled record; want true", i)
 		}
 	}
 	vs := make([]int, 5)
@@ -114,28 +114,24 @@ func TestSampledCountsAsAccepted(t *testing.T) {
 }
 
 // The accounting invariant must hold with concurrent producers hammering a
-// tiny queue through every producer entry point while consumers drain.
+// tiny queue through every producer entry point while the consumer drains.
 func TestSamplerInvariantConcurrent(t *testing.T) {
-	q := New[int](8)
+	q := newQ[int](8)
 	q.SetSampler(SamplerConfig{LowWater: 0.25, HighWater: 0.75, MaxShed: 0.5})
 
 	const producers = 8
 	const perProducer = 5000
-	var consumed sync.WaitGroup
-	consumed.Add(2)
-	for c := 0; c < 2; c++ {
-		go func() {
-			defer consumed.Done()
-			buf := make([]int, 0, 16)
-			for {
-				var ok bool
-				buf, ok = q.TakeBatch(buf[:0], 16, 0)
-				if !ok {
-					return
-				}
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		buf := make([]int, 0, 16)
+		for {
+			var ok bool
+			if buf, ok = takeBatch(q, buf[:0], 16); !ok {
+				return
 			}
-		}()
-	}
+		}
+	}()
 
 	var produced sync.WaitGroup
 	produced.Add(producers)
@@ -146,7 +142,7 @@ func TestSamplerInvariantConcurrent(t *testing.T) {
 			for i := 0; i < perProducer; i++ {
 				switch i % 3 {
 				case 0:
-					q.Offer(i)
+					offer(q, i)
 				case 1:
 					q.OfferBatch(vs)
 				default:
@@ -157,7 +153,7 @@ func TestSamplerInvariantConcurrent(t *testing.T) {
 	}
 	produced.Wait()
 	q.Close()
-	consumed.Wait()
+	<-consumed
 
 	st := q.Stats()
 	var offered uint64
@@ -182,11 +178,11 @@ func TestSamplerInvariantConcurrent(t *testing.T) {
 }
 
 func TestSamplerBelowLowWaterShedsNothing(t *testing.T) {
-	q := New[int](100)
+	q := newQ[int](100)
 	q.SetSampler(SamplerConfig{LowWater: 0.5, HighWater: 0.9, MaxShed: 1})
 	for i := 0; i < 40; i++ { // stays below the 50-record low watermark
-		if !q.Offer(i) {
-			t.Fatalf("Offer(%d) failed below LowWater", i)
+		if !offer(q, i) {
+			t.Fatalf("offer(%d) failed below LowWater", i)
 		}
 	}
 	if st := q.Stats(); st.Sampled != 0 || st.Enqueued != 40 {

@@ -257,7 +257,7 @@ func TestFlowUDPSourceBatchWithSamplerInvariant(t *testing.T) {
 	src.BatchSize = 8
 	in := newTestIngest(16, 64)
 	in.flow.SetSampler(queue.SamplerConfig{LowWater: 0, HighWater: 0, MaxShed: 0.5})
-	in.flow.Offer(v9Flow(99)) // non-empty so the sampler engages
+	in.flow.OfferBatch([]netflow.FlowRecord{v9Flow(99)}) // non-empty so the sampler engages
 	before := in.flow.Stats()
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -19,14 +19,21 @@ import (
 func testTime() time.Time { return time.Unix(1653475200, 0) }
 
 // testIngest is a queue-backed Ingest for exercising sources without a
-// correlator.
+// correlator. Its two rings share a bell, as a lane's do; the test is
+// their one consumer.
 type testIngest struct {
 	dns  *queue.Queue[DNSRecord]
 	flow *queue.Queue[netflow.FlowRecord]
+	bell *queue.Bell
 }
 
 func newTestIngest(dnsCap, flowCap int) *testIngest {
-	return &testIngest{dns: queue.New[DNSRecord](dnsCap), flow: queue.New[netflow.FlowRecord](flowCap)}
+	bell := queue.NewBell()
+	return &testIngest{
+		dns:  queue.New[DNSRecord](dnsCap, bell),
+		flow: queue.New[netflow.FlowRecord](flowCap, bell),
+		bell: bell,
+	}
 }
 
 func (t *testIngest) OfferDNSBatch(recs []DNSRecord) int { return t.dns.OfferBatch(recs) }
@@ -34,14 +41,21 @@ func (t *testIngest) OfferFlowBatch(frs []netflow.FlowRecord) int {
 	return t.flow.OfferBatch(frs)
 }
 
-// takeOne dequeues q's next record, blocking until one is buffered.
-func takeOne[T any](t *testing.T, q *queue.Queue[T]) T {
+// takeOne dequeues q's next record, parking on bell (q's) until one is
+// buffered.
+func takeOne[T any](t *testing.T, q *queue.Queue[T], bell *queue.Bell) T {
 	t.Helper()
-	buf, ok := q.TakeBatch(nil, 1, 0)
-	if !ok {
-		t.Fatal("queue closed and drained")
+	ready := func() bool { return q.Len() > 0 || q.Drained() }
+	var one [1]T
+	for {
+		if buf := q.Poll(one[:0], 1); len(buf) == 1 {
+			return buf[0]
+		}
+		if q.Drained() {
+			t.Fatal("queue closed and drained")
+		}
+		bell.Wait(ready)
 	}
-	return buf[0]
 }
 
 func responseAB(t *testing.T) *dnswire.Message {
@@ -194,7 +208,7 @@ func TestDNSTCPEndToEnd(t *testing.T) {
 	if in.dns.Len() != 2*n {
 		t.Fatalf("queued = %d, want %d", in.dns.Len(), 2*n)
 	}
-	rec := takeOne(t, in.dns)
+	rec := takeOne(t, in.dns, in.bell)
 	if rec.Timestamp != testTime() {
 		t.Fatalf("clock not applied: %v", rec.Timestamp)
 	}
@@ -303,11 +317,11 @@ func TestFlowUDPIngestV5AndV9(t *testing.T) {
 	if st.DecodeError != 3 {
 		t.Fatalf("decode errors = %d", st.DecodeError)
 	}
-	r1 := takeOne(t, in.flow)
+	r1 := takeOne(t, in.flow, in.bell)
 	if r1.SrcIP != netip.MustParseAddr("10.0.0.1") || r1.Bytes != 100 {
 		t.Fatalf("v5 record = %+v", r1)
 	}
-	r2 := takeOne(t, in.flow)
+	r2 := takeOne(t, in.flow, in.bell)
 	if r2.SrcIP != fr.SrcIP || r2.Bytes != fr.Bytes {
 		t.Fatalf("v9 record = %+v", r2)
 	}
@@ -349,7 +363,7 @@ func TestFlowUDPEndToEnd(t *testing.T) {
 	deadline := time.After(5 * time.Second)
 	for got := 0; got < n; {
 		if in.flow.Len() > 0 {
-			takeOne(t, in.flow)
+			takeOne(t, in.flow, in.bell)
 			got++
 			continue
 		}
@@ -479,7 +493,7 @@ func TestFlowUDPIngestIPFIX(t *testing.T) {
 	if st.Records != 1 || st.DecodeError != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	got := takeOne(t, in.flow)
+	got := takeOne(t, in.flow, in.bell)
 	if got.SrcIP != fr.SrcIP || got.Bytes != fr.Bytes || !got.Timestamp.Equal(fr.Timestamp) {
 		t.Fatalf("ipfix record = %+v", got)
 	}

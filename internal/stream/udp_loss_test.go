@@ -197,7 +197,7 @@ func TestFlowUDPSourceDropAccountingWithSampler(t *testing.T) {
 	// Degenerate watermarks: shed half of everything offered while the
 	// buffer is non-empty.
 	in.flow.SetSampler(queue.SamplerConfig{LowWater: 0, HighWater: 0, MaxShed: 0.5})
-	in.flow.Offer(v9Flow(99)) // non-empty so the sampler engages
+	in.flow.OfferBatch([]netflow.FlowRecord{v9Flow(99)}) // non-empty so the sampler engages
 
 	src := NewFlowUDPSource(nil)
 	before := in.flow.Stats()

@@ -36,7 +36,7 @@ BENCHES=${BENCHES:-'BenchmarkCorrelate$|BenchmarkSinkWrite$|BenchmarkRollupObser
 COUNT=${COUNT:-6}
 BENCHTIME=${BENCHTIME:-300ms}
 TOLERANCE=${TOLERANCE:-1.20}
-SNAPSHOT=${SNAPSHOT:-BENCH_ingest.json}
+SNAPSHOT=${SNAPSHOT-BENCH_ingest.json}
 
 repo_root=$(git rev-parse --show-toplevel)
 cd "$repo_root"
