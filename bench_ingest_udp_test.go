@@ -136,20 +136,20 @@ func BenchmarkUDPIngest(b *testing.B) {
 	b.Run("single", func(b *testing.B) { run(b, 1) })
 }
 
-// benchTableKeys builds n distinct 16-byte binary keys with their shard
-// hashes, the key shape of the correlation store's binary space.
+// benchTableKeys builds n distinct 16-byte address keys with their shard
+// hashes, the key shape of the correlation store's IP-NAME family.
 func benchTableKeys(n int) ([][16]byte, []uint32) {
 	keys := make([][16]byte, n)
 	hashes := make([]uint32, n)
 	for i := range keys {
 		binary.BigEndian.PutUint64(keys[i][:8], uint64(i)*0x9e3779b97f4a7c15)
 		binary.BigEndian.PutUint64(keys[i][8:], uint64(i))
-		hashes[i] = cmap.HashBytes(keys[i][:])
+		hashes[i] = cmap.Hash(string(keys[i][:]))
 	}
 	return keys, hashes
 }
 
-// BenchmarkCmapTable measures the open-addressed binary key space under the
+// BenchmarkCmapTable measures the open-addressed address-keyed table under the
 // correlation store's access mix: steady-state overwrites, hit and miss
 // lookups, and the expiry sweep that reclaims dead entries without
 // tombstones. Set/get must stay allocation-free.
@@ -165,19 +165,19 @@ func BenchmarkCmapTable(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			j := i & (n - 1)
-			m.SetBytesHashExpire(hashes[j], keys[j][:], "v", int64(i))
+			m.Set(hashes[j], &keys[j], "v", int64(i))
 		}
 	})
 	b.Run("get-hit", func(b *testing.B) {
 		m := cmap.New()
 		for j := range keys {
-			m.SetBytesHashExpire(hashes[j], keys[j][:], "v", 1)
+			m.Set(hashes[j], &keys[j], "v", 1)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			j := i & (n - 1)
-			if _, ok := m.GetBytesHash(hashes[j], keys[j][:]); !ok {
+			if _, _, ok := m.Get(hashes[j], &keys[j]); !ok {
 				b.Fatal("miss on present key")
 			}
 		}
@@ -185,13 +185,13 @@ func BenchmarkCmapTable(b *testing.B) {
 	b.Run("get-miss", func(b *testing.B) {
 		m := cmap.New()
 		for j := 0; j < n/2; j++ {
-			m.SetBytesHashExpire(hashes[j], keys[j][:], "v", 1)
+			m.Set(hashes[j], &keys[j], "v", 1)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			j := n/2 + i&(n/2-1)
-			if _, ok := m.GetBytesHash(hashes[j], keys[j][:]); ok {
+			if _, _, ok := m.Get(hashes[j], &keys[j]); ok {
 				b.Fatal("hit on absent key")
 			}
 		}
@@ -204,7 +204,7 @@ func BenchmarkCmapTable(b *testing.B) {
 			b.StopTimer()
 			m := cmap.New()
 			for j := range keys {
-				m.SetBytesHashExpire(hashes[j], keys[j][:], "v", int64(j%2)+1)
+				m.Set(hashes[j], &keys[j], "v", int64(j%2)+1)
 			}
 			b.StartTimer()
 			if removed := m.RemoveIfExpired(2); removed != n/2 {

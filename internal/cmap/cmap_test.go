@@ -9,23 +9,76 @@ import (
 	"testing/quick"
 )
 
-func TestSetGet(t *testing.T) {
-	m := New()
-	m.Set("a.example.com", "svc.example.com")
-	v, ok := m.Get("a.example.com")
+// bothKeys runs a test body once per key type: addresses (the IP-NAME
+// family's keys) and names (NAME-CNAME's).
+func bothKeys(t *testing.T, addr, name func(*testing.T)) {
+	t.Run("addr", addr)
+	t.Run("name", name)
+}
+
+// testKey returns the i-th distinct key of type K.
+func testKey[K Key](i int) K {
+	var k K
+	switch p := any(&k).(type) {
+	case *[16]byte:
+		*p = oaKey(uint64(i))
+	case *string:
+		*p = fmt.Sprintf("svc%d.example", i)
+	}
+	return k
+}
+
+// testHash is the shard hash the tests pass for k; any function of the key
+// works as long as every operation on that key passes the same value.
+func testHash[K Key](k *K) uint32 {
+	switch p := any(k).(type) {
+	case *[16]byte:
+		return Hash(string(p[:]))
+	case *string:
+		return Hash(*p)
+	}
+	panic("key type outside Key")
+}
+
+// keyBytes returns a fresh byte copy of k, the form SetBytesHash takes.
+func keyBytes[K Key](k *K) []byte {
+	switch p := any(k).(type) {
+	case *[16]byte:
+		return append([]byte(nil), p[:]...)
+	case *string:
+		return []byte(*p)
+	}
+	panic("key type outside Key")
+}
+
+func put[K Key](m *Map[K], k K, v string, exp int64) { m.Set(testHash(&k), &k, v, exp) }
+
+func get[K Key](m *Map[K], k K) (string, int64, bool) { return m.Get(testHash(&k), &k) }
+
+func TestSetGet(t *testing.T) { bothKeys(t, testSetGet[[16]byte], testSetGet[string]) }
+
+func testSetGet[K Key](t *testing.T) {
+	m := NewWithShards[K](DefaultShardCount)
+	put(m, testKey[K](1), "svc.example.com", 0)
+	v, _, ok := get(m, testKey[K](1))
 	if !ok || v != "svc.example.com" {
 		t.Fatalf("Get = %q, %v; want svc.example.com, true", v, ok)
 	}
-	if _, ok := m.Get("missing"); ok {
+	if _, _, ok := get(m, testKey[K](2)); ok {
 		t.Fatal("Get(missing) reported present")
 	}
 }
 
 func TestSetOverwrites(t *testing.T) {
-	m := New()
-	m.Set("k", "v1")
-	m.Set("k", "v2")
-	if v, _ := m.Get("k"); v != "v2" {
+	bothKeys(t, testSetOverwrites[[16]byte], testSetOverwrites[string])
+}
+
+func testSetOverwrites[K Key](t *testing.T) {
+	m := NewWithShards[K](DefaultShardCount)
+	k := testKey[K](0)
+	put(m, k, "v1", 0)
+	put(m, k, "v2", 0)
+	if v, _, _ := get(m, k); v != "v2" {
 		t.Fatalf("overwrite: got %q, want v2", v)
 	}
 	if m.Len() != 1 {
@@ -33,10 +86,12 @@ func TestSetOverwrites(t *testing.T) {
 	}
 }
 
-func TestLenAndClear(t *testing.T) {
-	m := NewWithShards(8)
+func TestLenAndClear(t *testing.T) { bothKeys(t, testLenAndClear[[16]byte], testLenAndClear[string]) }
+
+func testLenAndClear[K Key](t *testing.T) {
+	m := NewWithShards[K](8)
 	for i := 0; i < 100; i++ {
-		m.Set(strconv.Itoa(i), "v")
+		put(m, testKey[K](i), "v", 0)
 	}
 	if m.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", m.Len())
@@ -47,32 +102,40 @@ func TestLenAndClear(t *testing.T) {
 	}
 }
 
-func TestRemoveIf(t *testing.T) {
-	m := New()
+func TestRemoveIf(t *testing.T) { bothKeys(t, testRemoveIf[[16]byte], testRemoveIf[string]) }
+
+func testRemoveIf[K Key](t *testing.T) {
+	m := NewWithShards[K](DefaultShardCount)
 	for i := 0; i < 50; i++ {
-		m.Set(strconv.Itoa(i), strconv.Itoa(i%2))
+		put(m, testKey[K](i), strconv.Itoa(i%2), 0)
 	}
-	removed := m.RemoveIf(func(k, v string, _ int64) bool { return v == "0" })
+	removed := m.RemoveIf(func(_ *K, v string, _ int64) bool { return v == "0" })
 	if removed != 25 {
 		t.Fatalf("RemoveIf removed %d, want 25", removed)
 	}
 	if m.Len() != 25 {
 		t.Fatalf("Len = %d, want 25", m.Len())
 	}
-	m.RangeExpire(func(k, v string, _ int64) bool {
-		if v != "1" {
-			t.Errorf("unexpected survivor %q=%q", k, v)
+	for sh := 0; sh < m.ShardCount(); sh++ {
+		for _, it := range m.AppendShard(sh, nil) {
+			if it.Value != "1" {
+				t.Errorf("unexpected survivor %v=%q", it.Key, it.Value)
+			}
 		}
-		return true
-	})
+	}
 }
 
 func TestSnapshotRotation(t *testing.T) {
-	active := NewWithShards(16)
-	inactive := NewWithShards(16)
-	inactive.Set("stale", "old-generation")
+	bothKeys(t, testSnapshotRotation[[16]byte], testSnapshotRotation[string])
+}
+
+func testSnapshotRotation[K Key](t *testing.T) {
+	active := NewWithShards[K](16)
+	inactive := NewWithShards[K](16)
+	stale := testKey[K](-1)
+	put(inactive, stale, "old-generation", 0)
 	for i := 0; i < 200; i++ {
-		active.Set("k"+strconv.Itoa(i), "v")
+		put(active, testKey[K](i), "v", 0)
 	}
 	active.Snapshot(inactive)
 	if active.Len() != 0 {
@@ -81,12 +144,12 @@ func TestSnapshotRotation(t *testing.T) {
 	if inactive.Len() != 200 {
 		t.Fatalf("inactive Len = %d, want 200", inactive.Len())
 	}
-	if _, ok := inactive.Get("stale"); ok {
+	if _, _, ok := get(inactive, stale); ok {
 		t.Fatal("rotation must overwrite previous inactive contents")
 	}
 	// Active remains usable after handover.
-	active.Set("fresh", "v")
-	if _, ok := active.Get("fresh"); !ok {
+	put(active, testKey[K](1000), "v", 0)
+	if _, _, ok := get(active, testKey[K](1000)); !ok {
 		t.Fatal("active unusable after Snapshot")
 	}
 }
@@ -94,13 +157,18 @@ func TestSnapshotRotation(t *testing.T) {
 // The store builds every generation with one shard count; a mismatch is a
 // bug, not a second (re-hashing) rotation path.
 func TestSnapshotMismatchedShardsPanics(t *testing.T) {
-	active, inactive := NewWithShards(4), NewWithShards(8)
-	active.Set("k", "v")
+	bothKeys(t, testSnapshotMismatchedShardsPanics[[16]byte], testSnapshotMismatchedShardsPanics[string])
+}
+
+func testSnapshotMismatchedShardsPanics[K Key](t *testing.T) {
+	active, inactive := NewWithShards[K](4), NewWithShards[K](8)
+	k := testKey[K](0)
+	put(active, k, "v", 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Snapshot across shard counts did not panic")
 		}
-		if v, ok := active.Get("k"); !ok || v != "v" {
+		if v, _, ok := get(active, k); !ok || v != "v" {
 			t.Fatalf("refused Snapshot mutated the source: %q, %v", v, ok)
 		}
 	}()
@@ -108,40 +176,56 @@ func TestSnapshotMismatchedShardsPanics(t *testing.T) {
 }
 
 func TestSnapshotNilDst(t *testing.T) {
-	m := New()
-	m.Set("k", "v")
+	bothKeys(t, testSnapshotNilDst[[16]byte], testSnapshotNilDst[string])
+}
+
+func testSnapshotNilDst[K Key](t *testing.T) {
+	m := NewWithShards[K](DefaultShardCount)
+	put(m, testKey[K](0), "v", 0)
 	m.Snapshot(nil) // must not panic
-	if _, ok := m.Get("k"); !ok {
+	if _, _, ok := get(m, testKey[K](0)); !ok {
 		t.Fatal("Snapshot(nil) mutated the map")
 	}
 }
 
 func TestNewWithShardsClamps(t *testing.T) {
-	m := NewWithShards(0)
+	bothKeys(t, testNewWithShardsClamps[[16]byte], testNewWithShardsClamps[string])
+}
+
+func testNewWithShardsClamps[K Key](t *testing.T) {
+	m := NewWithShards[K](0)
 	if m.ShardCount() != 1 {
 		t.Fatalf("ShardCount = %d, want 1", m.ShardCount())
 	}
-	m.Set("k", "v")
-	if _, ok := m.Get("k"); !ok {
+	put(m, testKey[K](0), "v", 0)
+	if _, _, ok := get(m, testKey[K](0)); !ok {
 		t.Fatal("single-shard map broken")
 	}
 }
 
 func TestNonPowerOfTwoShards(t *testing.T) {
-	m := NewWithShards(10) // FlowDNS uses NUM_SPLIT=10
+	bothKeys(t, testNonPowerOfTwoShards[[16]byte], testNonPowerOfTwoShards[string])
+}
+
+func testNonPowerOfTwoShards[K Key](t *testing.T) {
+	m := NewWithShards[K](10) // FlowDNS uses NUM_SPLIT=10
 	for i := 0; i < 1000; i++ {
-		m.Set(fmt.Sprintf("key-%d", i), strconv.Itoa(i))
+		put(m, testKey[K](i), strconv.Itoa(i), 0)
 	}
 	for i := 0; i < 1000; i++ {
-		v, ok := m.Get(fmt.Sprintf("key-%d", i))
+		v, _, ok := get(m, testKey[K](i))
 		if !ok || v != strconv.Itoa(i) {
-			t.Fatalf("key-%d: got %q,%v", i, v, ok)
+			t.Fatalf("key %d: got %q,%v", i, v, ok)
 		}
 	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	m := New()
+	bothKeys(t, testConcurrentAccess[[16]byte], testConcurrentAccess[string])
+}
+
+func testConcurrentAccess[K Key](t *testing.T) {
+	m := NewWithShards[K](DefaultShardCount)
 	var wg sync.WaitGroup
 	const workers = 16
 	const perWorker = 500
@@ -150,10 +234,10 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				k := fmt.Sprintf("w%d-%d", w, i)
-				m.Set(k, "v")
-				if _, ok := m.Get(k); !ok {
-					t.Errorf("own write not visible: %s", k)
+				k := testKey[K](w*perWorker + i)
+				put(m, k, "v", 0)
+				if _, _, ok := get(m, k); !ok {
+					t.Errorf("own write not visible: %v", k)
 					return
 				}
 			}
@@ -166,9 +250,13 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestConcurrentRotationDuringWrites(t *testing.T) {
-	// Simulates FillUp workers writing while the clear-up rotation runs.
-	active := New()
-	inactive := New()
+	bothKeys(t, testConcurrentRotationDuringWrites[[16]byte], testConcurrentRotationDuringWrites[string])
+}
+
+func testConcurrentRotationDuringWrites[K Key](t *testing.T) {
+	// Simulates fill workers writing while the clear-up rotation runs.
+	active := NewWithShards[K](DefaultShardCount)
+	inactive := NewWithShards[K](DefaultShardCount)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -180,7 +268,7 @@ func TestConcurrentRotationDuringWrites(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				active.Set(strconv.Itoa(i), "v")
+				put(active, testKey[K](i), "v", 0)
 				i++
 			}
 		}
@@ -194,22 +282,26 @@ func TestConcurrentRotationDuringWrites(t *testing.T) {
 
 // Property: a cmap behaves like a plain map under a sequential workload.
 func TestQuickSequentialEquivalence(t *testing.T) {
-	f := func(keys []string, values []string) bool {
-		m := NewWithShards(10)
-		ref := map[string]string{}
+	bothKeys(t, testQuickSequentialEquivalence[[16]byte], testQuickSequentialEquivalence[string])
+}
+
+func testQuickSequentialEquivalence[K Key](t *testing.T) {
+	f := func(keys []K, values []string) bool {
+		m := NewWithShards[K](10)
+		ref := map[K]string{}
 		for i, k := range keys {
 			v := "v"
 			if i < len(values) {
 				v = values[i]
 			}
-			m.Set(k, v)
+			put(m, k, v, 0)
 			ref[k] = v
 		}
 		if m.Len() != len(ref) {
 			return false
 		}
 		for k, v := range ref {
-			got, ok := m.Get(k)
+			got, _, ok := get(m, k)
 			if !ok || got != v {
 				return false
 			}
@@ -223,11 +315,15 @@ func TestQuickSequentialEquivalence(t *testing.T) {
 
 // Property: Snapshot moves exactly the active contents.
 func TestQuickSnapshotMoves(t *testing.T) {
-	f := func(keys []string) bool {
-		a, b := NewWithShards(8), NewWithShards(8)
-		ref := map[string]bool{}
+	bothKeys(t, testQuickSnapshotMoves[[16]byte], testQuickSnapshotMoves[string])
+}
+
+func testQuickSnapshotMoves[K Key](t *testing.T) {
+	f := func(keys []K) bool {
+		a, b := NewWithShards[K](8), NewWithShards[K](8)
+		ref := map[K]bool{}
 		for _, k := range keys {
-			a.Set(k, "x")
+			put(a, k, "x", 0)
 			ref[k] = true
 		}
 		a.Snapshot(b)
@@ -235,7 +331,7 @@ func TestQuickSnapshotMoves(t *testing.T) {
 			return false
 		}
 		for k := range ref {
-			if _, ok := b.Get(k); !ok {
+			if _, _, ok := get(b, k); !ok {
 				return false
 			}
 		}
@@ -246,81 +342,81 @@ func TestQuickSnapshotMoves(t *testing.T) {
 	}
 }
 
+// BenchmarkSet and BenchmarkGetParallel measure the name-keyed map, the
+// NAME-CNAME family's shape; BenchmarkCmapTable (repository root) guards
+// the address-keyed one.
 func BenchmarkSet(b *testing.B) {
-	m := NewWithShards(32)
+	m := NewWithShards[string](32)
 	keys := make([]string, 1024)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("198.51.%d.%d", i/256, i%256)
+		keys[i] = testKey[string](i)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Set(keys[i&1023], "cdn.example.com")
+		k := &keys[i&1023]
+		m.Set(Hash(*k), k, "cdn.example.com", 0)
 	}
 }
 
 func BenchmarkGetParallel(b *testing.B) {
-	m := NewWithShards(32)
+	m := NewWithShards[string](32)
 	keys := make([]string, 1024)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("198.51.%d.%d", i/256, i%256)
-		m.Set(keys[i], "cdn.example.com")
+		keys[i] = testKey[string](i)
+		put(m, keys[i], "cdn.example.com", 0)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			m.Get(keys[i&1023])
+			k := &keys[i&1023]
+			m.Get(Hash(*k), k)
 			i++
 		}
 	})
 }
 
-func TestGetBytesHashFindsStringKeys(t *testing.T) {
-	m := NewWithShards(8)
-	m.Set("198.51.100.7", "cdn.example")
-	hit, miss := []byte("198.51.100.7"), []byte("198.51.100.8")
-	if v, ok := m.GetBytesHash(HashBytes(hit), hit); !ok || v != "cdn.example" {
-		t.Fatalf("GetBytesHash = %q, %v", v, ok)
-	}
-	if _, ok := m.GetBytesHash(HashBytes(miss), miss); ok {
-		t.Fatal("GetBytesHash found absent key")
-	}
-	// Hash equivalence: byte and string forms must agree, or shard
-	// selection would diverge between fills and lookups.
-	if Hash("198.51.100.7") != HashBytes([]byte("198.51.100.7")) {
-		t.Fatal("Hash and HashBytes disagree")
-	}
+// The bench-harness wrappers take the key as bytes; the map must copy it.
+func TestSetBytesHashRoundTrip(t *testing.T) {
+	bothKeys(t, testSetBytesHashRoundTrip[[16]byte], testSetBytesHashRoundTrip[string])
 }
 
-func TestSetBytesHashRoundTrip(t *testing.T) {
-	m := NewWithShards(8)
-	key := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 198, 51, 100, 7}
-	h := HashBytes(key)
+func testSetBytesHashRoundTrip[K Key](t *testing.T) {
+	m := NewWithShards[K](8)
+	k := testKey[K](7)
+	key := keyBytes(&k)
+	h := testHash(&k)
 	m.SetBytesHash(h, key, "svc.example")
 	if v, ok := m.GetBytesHash(h, key); !ok || v != "svc.example" {
 		t.Fatalf("GetBytesHash = %q, %v", v, ok)
 	}
 	// The map must have copied the key: mutating the caller's buffer must
 	// not corrupt the stored entry.
-	key[15] = 9
-	h2 := HashBytes(key)
-	if _, ok := m.GetBytesHash(h2, key); ok {
+	key[len(key)-1] ^= 0xff
+	if _, ok := m.GetBytesHash(h, key); ok {
 		t.Fatal("mutated key still matches")
 	}
-	key[15] = 7
+	key[len(key)-1] ^= 0xff
 	if v, ok := m.GetBytesHash(h, key); !ok || v != "svc.example" {
 		t.Fatalf("original key lost after caller mutation: %q, %v", v, ok)
 	}
 }
 
 func TestEmptyTracksEntryCount(t *testing.T) {
-	m := NewWithShards(4)
+	bothKeys(t, testEmptyTracksEntryCount[[16]byte], testEmptyTracksEntryCount[string])
+}
+
+func testEmptyTracksEntryCount[K Key](t *testing.T) {
+	m := NewWithShards[K](4)
 	if !m.Empty() {
 		t.Fatal("fresh map not empty")
 	}
-	m.Set("a", "1")
-	m.Set("a", "2") // replace: still one entry
-	m.Set("b", "3")
+	a, b, d, e := testKey[K](1), testKey[K](2), testKey[K](4), testKey[K](5)
+	put(m, a, "1", 0)
+	put(m, a, "2", 0) // replace: still one entry
+	put(m, b, "3", 0)
 	if m.Empty() {
 		t.Fatal("map with entries reports empty")
 	}
@@ -328,25 +424,29 @@ func TestEmptyTracksEntryCount(t *testing.T) {
 	if !m.Empty() {
 		t.Fatal("cleared map not empty")
 	}
-	m.Set("d", "6")
-	m.Set("e", "7")
-	if n := m.RemoveIf(func(k, _ string, _ int64) bool { return k == "d" }); n != 1 {
+	put(m, d, "6", 0)
+	put(m, e, "7", 0)
+	if n := m.RemoveIf(func(k *K, _ string, _ int64) bool { return *k == d }); n != 1 {
 		t.Fatalf("RemoveIf = %d", n)
 	}
 	if m.Empty() {
 		t.Fatal("RemoveIf over-decremented")
 	}
-	m.RemoveIf(func(string, string, int64) bool { return true })
+	m.RemoveIf(func(*K, string, int64) bool { return true })
 	if !m.Empty() {
 		t.Fatal("full RemoveIf left count")
 	}
 }
 
 func TestEmptyAcrossSnapshot(t *testing.T) {
-	src, dst := NewWithShards(4), NewWithShards(4)
-	src.Set("a", "1")
-	src.Set("b", "2")
-	dst.Set("stale", "x")
+	bothKeys(t, testEmptyAcrossSnapshot[[16]byte], testEmptyAcrossSnapshot[string])
+}
+
+func testEmptyAcrossSnapshot[K Key](t *testing.T) {
+	src, dst := NewWithShards[K](4), NewWithShards[K](4)
+	put(src, testKey[K](1), "1", 0)
+	put(src, testKey[K](2), "2", 0)
+	put(dst, testKey[K](3), "x", 0)
 	src.Snapshot(dst)
 	if !src.Empty() {
 		t.Fatal("source not empty after snapshot")
@@ -359,65 +459,41 @@ func TestEmptyAcrossSnapshot(t *testing.T) {
 	}
 }
 
-// --- typed expiry entries and batched inserts (fill-path PR) ---
+// --- typed expiry entries and batched inserts ---
 
 func TestExpireRoundTrip(t *testing.T) {
-	m := New()
-	h := Hash("k")
-	m.SetHashExpire(h, "k", "v", 12345)
-	v, exp, ok := m.GetHashExpire(h, "k")
-	if !ok || v != "v" || exp != 12345 {
-		t.Fatalf("GetHashExpire = %q, %d, %v", v, exp, ok)
+	bothKeys(t, testExpireRoundTrip[[16]byte], testExpireRoundTrip[string])
+}
+
+func testExpireRoundTrip[K Key](t *testing.T) {
+	m := NewWithShards[K](DefaultShardCount)
+	k := testKey[K](0)
+	put(m, k, "v", 12345)
+	if v, exp, ok := get(m, k); !ok || v != "v" || exp != 12345 {
+		t.Fatalf("Get = %q, %d, %v", v, exp, ok)
 	}
-	// Plain sets store exp 0 ("never expires").
-	m.SetHash(h, "k", "v2")
-	if _, exp, _ := m.GetHashExpire(h, "k"); exp != 0 {
-		t.Fatalf("plain SetHash left exp %d, want 0", exp)
+	// An overwrite without expiry stores exp 0 ("never expires").
+	put(m, k, "v2", 0)
+	if v, exp, _ := get(m, k); v != "v2" || exp != 0 {
+		t.Fatalf("overwrite left %q exp %d, want v2 exp 0", v, exp)
 	}
-	// Byte keys of lengths other than 16 share the string key space.
-	key := []byte("bk")
-	bh := HashBytes(key)
-	m.SetBytesHashExpire(bh, key, "bv", 77)
-	if v, exp, ok := m.GetBytesHashExpire(bh, key); !ok || v != "bv" || exp != 77 {
-		t.Fatalf("GetBytesHashExpire = %q, %d, %v", v, exp, ok)
-	}
-	if v, exp, ok := m.GetHashExpire(Hash("bk"), "bk"); !ok || v != "bv" || exp != 77 {
-		t.Fatalf("string probe of byte-keyed entry = %q, %d, %v", v, exp, ok)
-	}
-	// The plain getters still see the value regardless of expiry.
-	if v, ok := m.Get("bk"); !ok || v != "bv" {
-		t.Fatalf("Get = %q, %v", v, ok)
-	}
-	// 16-byte keys live in the binary key space: visible to the byte-keyed
-	// getters, to Len, and to RangeExpire (as the raw 16-byte string), but
-	// not to the string-keyed getters — the two spaces are separate.
-	bin := []byte("0123456789abcdef")
-	m.SetBytesHashExpire(HashBytes(bin), bin, "binv", 5)
-	if v, exp, ok := m.GetBytesHashExpire(HashBytes(bin), bin); !ok || v != "binv" || exp != 5 {
-		t.Fatalf("binary-space get = %q, %d, %v", v, exp, ok)
-	}
-	if _, ok := m.Get("0123456789abcdef"); ok {
-		t.Fatal("string probe crossed into the binary key space")
-	}
-	var got string
-	m.RangeExpire(func(k, v string, _ int64) bool {
-		if k == "0123456789abcdef" {
-			got = v
-		}
-		return true
-	})
-	if got != "binv" {
-		t.Fatalf("RangeExpire missed binary entry: %q", got)
+	// The bytes wrapper sees the entry whatever its expiry.
+	put(m, k, "v3", 77)
+	if v, ok := m.GetBytesHash(testHash(&k), keyBytes(&k)); !ok || v != "v3" {
+		t.Fatalf("GetBytesHash = %q, %v", v, ok)
 	}
 }
 
 func TestRemoveIfSeesExpiry(t *testing.T) {
-	m := New()
+	bothKeys(t, testRemoveIfSeesExpiry[[16]byte], testRemoveIfSeesExpiry[string])
+}
+
+func testRemoveIfSeesExpiry[K Key](t *testing.T) {
+	m := NewWithShards[K](DefaultShardCount)
 	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("k%d", i)
-		m.SetHashExpire(Hash(k), k, "v", int64(i))
+		put(m, testKey[K](i), "v", int64(i))
 	}
-	removed := m.RemoveIf(func(_, _ string, exp int64) bool { return exp < 50 })
+	removed := m.RemoveIf(func(_ *K, _ string, exp int64) bool { return exp < 50 })
 	if removed != 50 {
 		t.Fatalf("RemoveIf removed %d, want 50", removed)
 	}
@@ -426,17 +502,18 @@ func TestRemoveIfSeesExpiry(t *testing.T) {
 	}
 }
 
-func TestSetItems(t *testing.T) {
+func TestSetItems(t *testing.T) { bothKeys(t, testSetItems[[16]byte], testSetItems[string]) }
+
+func testSetItems[K Key](t *testing.T) {
 	for _, shards := range []int{1, 4, 32, 7} {
-		m := NewWithShards(shards)
+		m := NewWithShards[K](shards)
 		const n = 500
-		items := make([]Item, n)
-		keys := make([][]byte, n)
+		items := make([]Item[K], n)
 		for i := range items {
-			keys[i] = []byte(fmt.Sprintf("key%d", i))
-			items[i] = Item{
-				Hash:  HashBytes(keys[i]),
-				Key:   keys[i],
+			k := testKey[K](i)
+			items[i] = Item[K]{
+				Hash:  testHash(&k),
+				Key:   k,
 				Value: fmt.Sprintf("val%d", i%7),
 				Exp:   int64(i),
 			}
@@ -452,42 +529,57 @@ func TestSetItems(t *testing.T) {
 			t.Fatalf("shards=%d: Len = %d, want %d", shards, m.Len(), n)
 		}
 		for i := range items {
-			v, exp, ok := m.GetBytesHashExpire(items[i].Hash, items[i].Key)
+			v, exp, ok := m.Get(items[i].Hash, &items[i].Key)
 			if !ok || v != items[i].Value || exp != items[i].Exp {
 				t.Fatalf("shards=%d: item %d = %q, %d, %v", shards, i, v, exp, ok)
 			}
 		}
-		// Keys must be copied, never aliased: clobbering the caller's
-		// buffers must not corrupt the map.
-		for i := range keys {
-			for j := range keys[i] {
-				keys[i][j] = 'x'
-			}
+		// Keys must be copied, never aliased: clobbering the caller's items
+		// must not corrupt the map.
+		for i := range items {
+			items[i].Key = testKey[K](-1)
 		}
-		if v, ok := m.Get("key42"); !ok || v != "val0" {
-			t.Fatalf("shards=%d: after clobber Get(key42) = %q, %v", shards, v, ok)
+		if v, _, ok := get(m, testKey[K](42)); !ok || v != "val0" {
+			t.Fatalf("shards=%d: after clobber Get(42) = %q, %v", shards, v, ok)
 		}
 	}
 }
 
+// An entry lands in the shard ShardIndex names for its hash, which is what
+// lets SetItems callers pre-group a batch by that index.
 func TestShardIndexMatchesShardFor(t *testing.T) {
 	for _, shards := range []int{1, 8, 32, 5} {
-		m := NewWithShards(shards)
+		m := NewWithShards[string](shards)
 		for i := 0; i < 1000; i++ {
-			h := Hash(fmt.Sprintf("k%d", i))
-			if got, want := m.shards[m.ShardIndex(h)], m.shardForHash(h); got != want {
-				t.Fatalf("shards=%d: ShardIndex(%d) disagrees with shardForHash", shards, h)
+			k := testKey[string](i)
+			h := testHash(&k)
+			si := m.ShardIndex(h)
+			if si < 0 || si >= shards {
+				t.Fatalf("shards=%d: ShardIndex(%d) = %d out of range", shards, h, si)
+			}
+			put(m, k, "v", 0)
+			found := false
+			for _, it := range m.AppendShard(si, nil) {
+				found = found || it.Key == k
+			}
+			if !found {
+				t.Fatalf("shards=%d: key %q not in shard %d", shards, k, si)
 			}
 		}
 	}
 }
 
 func TestSnapshotPreservesExpiry(t *testing.T) {
-	// The pointer swap must carry the typed expiry across rotation.
-	src, dst := New(), New()
-	src.SetHashExpire(Hash("k"), "k", "v", 999)
+	bothKeys(t, testSnapshotPreservesExpiry[[16]byte], testSnapshotPreservesExpiry[string])
+}
+
+func testSnapshotPreservesExpiry[K Key](t *testing.T) {
+	// The hand-over must carry the typed expiry across rotation.
+	src, dst := NewWithShards[K](DefaultShardCount), NewWithShards[K](DefaultShardCount)
+	k := testKey[K](0)
+	put(src, k, "v", 999)
 	src.Snapshot(dst)
-	if v, exp, ok := dst.GetHashExpire(Hash("k"), "k"); !ok || v != "v" || exp != 999 {
+	if v, exp, ok := get(dst, k); !ok || v != "v" || exp != 999 {
 		t.Fatalf("after Snapshot = %q, %d, %v", v, exp, ok)
 	}
 	if src.Len() != 0 {
@@ -496,21 +588,24 @@ func TestSnapshotPreservesExpiry(t *testing.T) {
 }
 
 func TestSetBytesOverwriteDoesNotAliasKey(t *testing.T) {
-	// Overwriting through a reused key buffer must reuse the stored key
-	// string, never retain the caller's bytes: clobbering the buffer after
-	// each put must leave the map intact. (Regression: a plain map
-	// assignment through a no-copy string view replaces the stored key's
-	// pointer, silently aliasing the buffer.)
-	m := New()
-	buf := []byte("key-one")
-	h := HashBytes(buf)
-	m.SetBytesHashExpire(h, buf, "v1", 1)
-	m.SetBytesHashExpire(h, buf, "v2", 2) // overwrite via the same buffer
+	bothKeys(t, testSetBytesOverwriteDoesNotAliasKey[[16]byte], testSetBytesOverwriteDoesNotAliasKey[string])
+}
+
+func testSetBytesOverwriteDoesNotAliasKey[K Key](t *testing.T) {
+	// Overwriting through a reused key buffer must never retain the
+	// caller's bytes: clobbering the buffer after each put must leave the
+	// map intact.
+	m := NewWithShards[K](DefaultShardCount)
+	k := testKey[K](1)
+	buf := keyBytes(&k)
+	h := testHash(&k)
+	m.SetBytesHash(h, buf, "v1")
+	m.SetBytesHash(h, buf, "v2") // overwrite via the same buffer
 	for i := range buf {
 		buf[i] = 'z'
 	}
-	if v, exp, ok := m.GetHashExpire(Hash("key-one"), "key-one"); !ok || v != "v2" || exp != 2 {
-		t.Fatalf("after clobber: %q, %d, %v", v, exp, ok)
+	if v, _, ok := get(m, k); !ok || v != "v2" {
+		t.Fatalf("after clobber: %q, %v", v, ok)
 	}
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", m.Len())
@@ -518,16 +613,27 @@ func TestSetBytesOverwriteDoesNotAliasKey(t *testing.T) {
 }
 
 func TestSetBytesOverwriteAllocFree(t *testing.T) {
-	m := New()
-	key := []byte("16-byte-bin-key!") // binary key space: inline, alloc-free
-	h := HashBytes(key)
-	m.SetBytesHashExpire(h, key, "v", 7)
+	bothKeys(t, testSetBytesOverwriteAllocFree[[16]byte], testSetBytesOverwriteAllocFree[string])
+}
+
+func testSetBytesOverwriteAllocFree[K Key](t *testing.T) {
+	m := NewWithShards[K](DefaultShardCount)
+	k := testKey[K](3)
+	h := testHash(&k)
+	m.Set(h, &k, "v", 7)
 	if allocs := testing.AllocsPerRun(100, func() {
-		m.SetBytesHashExpire(h, key, "v", 7)
+		m.Set(h, &k, "v", 7)
 	}); allocs != 0 {
 		t.Fatalf("overwrite allocates %v per run, want 0", allocs)
 	}
-	items := []Item{{Hash: h, Key: key, Value: "v", Exp: 9}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok := m.Get(h, &k); !ok {
+			t.Fatal("lost entry")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Get allocates %v per run, want 0", allocs)
+	}
+	items := []Item[K]{{Hash: h, Key: k, Value: "v", Exp: 9}}
 	if allocs := testing.AllocsPerRun(100, func() {
 		m.SetItems(items)
 	}); allocs != 0 {
@@ -536,25 +642,25 @@ func TestSetBytesOverwriteAllocFree(t *testing.T) {
 }
 
 func TestRemoveIfExpired(t *testing.T) {
-	m := New()
-	// String space and binary space both participate in the sweep.
+	bothKeys(t, testRemoveIfExpired[[16]byte], testRemoveIfExpired[string])
+}
+
+func testRemoveIfExpired[K Key](t *testing.T) {
+	m := NewWithShards[K](DefaultShardCount)
 	for i := 0; i < 10; i++ {
-		k := fmt.Sprintf("s%d", i)
-		m.SetHashExpire(Hash(k), k, "v", int64(i))
-		bk := []byte(fmt.Sprintf("bin-key-16bytes%d", i))
-		m.SetBytesHashExpire(HashBytes(bk), bk, "v", int64(i))
+		put(m, testKey[K](i), "v", int64(i))
 	}
 	// now > exp removes; the boundary entry (exp == now) survives, matching
 	// the lookup path.
 	removed := m.RemoveIfExpired(5)
-	if removed != 10 {
-		t.Fatalf("removed = %d, want 10 (5 per key space)", removed)
+	if removed != 5 {
+		t.Fatalf("removed = %d, want 5", removed)
 	}
-	if m.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", m.Len())
+	if m.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", m.Len())
 	}
-	if _, exp, ok := m.GetHashExpire(Hash("s5"), "s5"); !ok || exp != 5 {
-		t.Fatalf("boundary entry s5 = exp %d, ok %v", exp, ok)
+	if _, exp, ok := get(m, testKey[K](5)); !ok || exp != 5 {
+		t.Fatalf("boundary entry 5 = exp %d, ok %v", exp, ok)
 	}
 	// The sweep itself must not allocate (the exact-TTL hot path).
 	if allocs := testing.AllocsPerRun(20, func() { m.RemoveIfExpired(0) }); allocs != 0 {
@@ -562,104 +668,41 @@ func TestRemoveIfExpired(t *testing.T) {
 	}
 }
 
-func TestRangeExpire(t *testing.T) {
-	m := New()
-	m.SetHashExpire(Hash("a"), "a", "va", 1)
-	m.SetHashExpire(Hash("b"), "b", "vb", 0)
-	bk := []byte("16-byte-bin-key!")
-	m.SetBytesHashExpire(HashBytes(bk), bk, "vbin", 7)
+// TestAppendShard checks that iterating every shard reconstructs the exact
+// map contents and that returned keys are copies, not aliases.
+func TestAppendShard(t *testing.T) { bothKeys(t, testAppendShard[[16]byte], testAppendShard[string]) }
 
-	got := map[string]int64{}
-	m.RangeExpire(func(key, value string, exp int64) bool {
-		got[key+"="+value] = exp
-		return true
-	})
-	want := map[string]int64{"a=va": 1, "b=vb": 0, "16-byte-bin-key!=vbin": 7}
+func testAppendShard[K Key](t *testing.T) {
+	m := NewWithShards[K](8)
+	want := map[K]int64{}
+	for i := 0; i < 200; i++ {
+		k := testKey[K](i)
+		put(m, k, "v", int64(i))
+		want[k] = int64(i)
+	}
+	var items []Item[K]
+	got := map[K]int64{}
+	for sh := 0; sh < m.ShardCount(); sh++ {
+		items = m.AppendShard(sh, items[:0])
+		for i := range items {
+			if items[i].Value != "v" || items[i].Hash != 0 {
+				t.Fatalf("item %v: value %q hash %d", items[i].Key, items[i].Value, items[i].Hash)
+			}
+			got[items[i].Key] = items[i].Exp
+			// Returned keys must be private copies.
+			items[i].Key = testKey[K](-1)
+		}
+	}
 	if len(got) != len(want) {
-		t.Fatalf("visited %v, want %v", got, want)
+		t.Fatalf("%d keys, want %d", len(got), len(want))
 	}
 	for k, exp := range want {
-		if got[k] != exp {
-			t.Fatalf("entry %s: exp %d, want %d", k, got[k], exp)
-		}
-	}
-
-	// Early termination: fn returning false stops the walk.
-	visited := 0
-	m.RangeExpire(func(key, value string, exp int64) bool {
-		visited++
-		return false
-	})
-	if visited != 1 {
-		t.Fatalf("visited %d entries after false, want 1", visited)
-	}
-}
-
-// TestAppendShard checks that iterating every shard of each key space
-// reconstructs the exact map contents, that the two key spaces stay
-// separate, and that returned keys are copies, not aliases.
-func TestAppendShard(t *testing.T) {
-	m := NewWithShards(8)
-	strs := map[string]int64{}
-	bins := map[string]int64{}
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("string-key-%03d", i)
-		m.SetHashExpire(Hash(k), k, "sv", int64(i))
-		strs[k] = int64(i)
-		bk := []byte(fmt.Sprintf("bin-key-16byt%03d", i))
-		if len(bk) != 16 {
-			t.Fatalf("test key %q not 16 bytes", bk)
-		}
-		m.SetBytesHashExpire(HashBytes(bk), bk, "bv", int64(i))
-		bins[string(bk)] = int64(i)
-	}
-	// A 16-byte *string* key must appear in the Strings space, never Binary.
-	collide := "16-byte-str-key!"
-	m.SetHashExpire(Hash(collide), collide, "collide", -1)
-	strs[collide] = -1
-
-	var items []Item
-	gotStr := map[string]int64{}
-	for sh := 0; sh < m.ShardCount(); sh++ {
-		items = m.AppendShard(sh, Strings, items[:0])
-		for _, it := range items {
-			if it.Value != "sv" && it.Value != "collide" {
-				t.Fatalf("string space holds %q", it.Value)
-			}
-			gotStr[string(it.Key)] = it.Exp
-		}
-	}
-	gotBin := map[string]int64{}
-	for sh := 0; sh < m.ShardCount(); sh++ {
-		items = m.AppendShard(sh, Binary, items[:0])
-		for _, it := range items {
-			if len(it.Key) != 16 || it.Value != "bv" {
-				t.Fatalf("binary space holds %d-byte key %q value %q", len(it.Key), it.Key, it.Value)
-			}
-			// Returned keys must be private copies.
-			it.Key[0] ^= 0xff
-			gotBin[string(append([]byte{it.Key[0] ^ 0xff}, it.Key[1:]...))] = it.Exp
-		}
-	}
-	if len(gotStr) != len(strs) {
-		t.Fatalf("string space: %d keys, want %d", len(gotStr), len(strs))
-	}
-	for k, exp := range strs {
-		if gotStr[k] != exp {
-			t.Fatalf("string key %q: exp %d, want %d", k, gotStr[k], exp)
-		}
-	}
-	if len(gotBin) != len(bins) {
-		t.Fatalf("binary space: %d keys, want %d", len(gotBin), len(bins))
-	}
-	for k, exp := range bins {
-		if gotBin[k] != exp {
-			t.Fatalf("binary key %q: exp %d, want %d", k, gotBin[k], exp)
+		if e, ok := got[k]; !ok || e != exp {
+			t.Fatalf("key %v: exp %d (present %v), want %d", k, e, ok, exp)
 		}
 	}
 	// Clobbering returned keys must not have damaged the map.
-	probe := []byte(fmt.Sprintf("bin-key-16byt%03d", 0))
-	if v, ok := m.GetBytesHash(HashBytes(probe), probe); !ok || v != "bv" {
+	if v, _, ok := get(m, testKey[K](0)); !ok || v != "v" {
 		t.Fatalf("map damaged by key mutation: %q, %v", v, ok)
 	}
 }
@@ -667,7 +710,15 @@ func TestAppendShard(t *testing.T) {
 // TestAppendShardConcurrent races shard iteration against writers — the
 // snapshot writer's lock-striping contract.
 func TestAppendShardConcurrent(t *testing.T) {
-	m := NewWithShards(8)
+	bothKeys(t, testAppendShardConcurrent[[16]byte], testAppendShardConcurrent[string])
+}
+
+func testAppendShardConcurrent[K Key](t *testing.T) {
+	m := NewWithShards[K](8)
+	keys := make([]K, 500)
+	for i := range keys {
+		keys[i] = testKey[K](i)
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -680,18 +731,21 @@ func TestAppendShardConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			bk := []byte(fmt.Sprintf("bin-key-16byt%03d", i%500))
-			m.SetBytesHashExpire(HashBytes(bk), bk, "v", int64(i))
+			put(m, keys[i%len(keys)], "v", int64(i))
 			i++
 		}
 	}()
-	var items []Item
+	valid := map[K]bool{}
+	for _, k := range keys {
+		valid[k] = true
+	}
+	var items []Item[K]
 	for round := 0; round < 200; round++ {
 		for sh := 0; sh < m.ShardCount(); sh++ {
-			items = m.AppendShard(sh, Binary, items[:0])
+			items = m.AppendShard(sh, items[:0])
 			for _, it := range items {
-				if len(it.Key) != 16 || it.Value != "v" {
-					t.Errorf("torn item: %d-byte key, value %q", len(it.Key), it.Value)
+				if !valid[it.Key] || it.Value != "v" {
+					t.Errorf("torn item: key %v, value %q", it.Key, it.Value)
 				}
 			}
 		}

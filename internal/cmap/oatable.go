@@ -1,13 +1,14 @@
 package cmap
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"hash/maphash"
+)
 
-// table is the open-addressed hash table behind a shard's binary key space:
-// 16-byte keys with their (value, expiry) stored inline in the slot array.
-// The Go map it replaces spends its probe budget on bucket pointers and
-// tophash recomputation for array keys; this table is shaped for exactly one
-// key form and the store's access mix (overwrite-heavy fill, read-heavy
-// lookup, periodic whole-table sweeps):
+// table is the open-addressed hash table behind one shard: keys with their
+// (value, expiry) stored inline in the slot array. It is shaped for the
+// store's access mix (overwrite-heavy fill, read-heavy lookup, periodic
+// whole-table sweeps):
 //
 //   - linear probing over a power-of-two slot array, so a probe chain is one
 //     cache-line walk with no pointer chasing;
@@ -24,29 +25,35 @@ import "encoding/binary"
 //
 // The zero value is an empty table owning no memory (a cleared shard holds
 // no slot array at all); first insert allocates the minimum size.
-type table struct {
-	slots []oaSlot
+type table[K Key] struct {
+	slots []slot[K]
 	ctrl  []uint8
 	used  int
 	limit int // grow when used reaches this (13/16 of len)
+	// seed keys the probe hash of name keys. Names come off the wire, so an
+	// unseeded hash would let crafted names pile onto one probe chain; the
+	// seed is drawn when the slot array is first allocated and travels with
+	// the table through Snapshot's hand-over.
+	seed maphash.Seed
 }
 
-// oaSlot is one open-addressed slot: the full key plus the entry payload,
-// inline. 40 bytes on 64-bit platforms — slot i and its neighbours in a
-// probe chain share cache lines.
-type oaSlot struct {
-	key [16]byte
+// slot is one open-addressed slot: the full key plus the entry payload,
+// inline. 40 bytes on 64-bit platforms for either key type — slot i and its
+// neighbours in a probe chain share cache lines.
+type slot[K Key] struct {
+	key K
 	v   string
 	exp int64
 }
 
 const oaMinSize = 8
 
-// oaHash mixes the two 8-byte words of a key into a 64-bit hash. The shard
-// hash (fnv32) already chose which table this key lands in; this hash only
-// has to spread probe positions within one table, so a multiply–xorshift
-// mix of the raw words is enough and costs two loads and three multiplies —
-// far less than rehashing 16 bytes byte-at-a-time on every probe.
+// oaHash mixes the two 8-byte words of an address key into a 64-bit hash.
+// The caller's shard hash already chose which table this key lands in; this
+// hash only has to spread probe positions within one table, so a
+// multiply–xorshift mix of the raw words is enough and costs two loads and
+// three multiplies — far less than rehashing 16 bytes byte-at-a-time on
+// every probe.
 func oaHash(k *[16]byte) uint64 {
 	a := binary.LittleEndian.Uint64(k[0:8])
 	b := binary.LittleEndian.Uint64(k[8:16])
@@ -58,17 +65,26 @@ func oaHash(k *[16]byte) uint64 {
 	return h
 }
 
+// hash returns k's probe hash: oaHash for addresses, the table's seeded
+// maphash for names.
+func (t *table[K]) hash(k *K) uint64 {
+	if a, ok := any(k).(*[16]byte); ok {
+		return oaHash(a)
+	}
+	return maphash.String(t.seed, *any(k).(*string))
+}
+
 // oaFingerprint derives the control byte for a hash: the top 7 bits, with
 // the high bit set so it can never equal the empty marker (0).
 func oaFingerprint(h uint64) uint8 { return uint8(h>>57) | 0x80 }
 
 // get returns the entry stored under k.
-func (t *table) get(k *[16]byte) (string, int64, bool) {
+func (t *table[K]) get(k *K) (string, int64, bool) {
 	if t.used == 0 {
 		return "", 0, false
 	}
 	mask := uint64(len(t.slots) - 1)
-	h := oaHash(k)
+	h := t.hash(k)
 	fp := oaFingerprint(h)
 	for i := h & mask; ; i = (i + 1) & mask {
 		c := t.ctrl[i]
@@ -84,18 +100,18 @@ func (t *table) get(k *[16]byte) (string, int64, bool) {
 
 // set stores (v, exp) under k, reporting whether a new entry was inserted
 // (false = overwrite). Neither path allocates once the slot array exists.
-func (t *table) set(k *[16]byte, v string, exp int64) bool {
+func (t *table[K]) set(k *K, v string, exp int64) bool {
 	if t.used >= t.limit {
 		t.grow()
 	}
 	mask := uint64(len(t.slots) - 1)
-	h := oaHash(k)
+	h := t.hash(k)
 	fp := oaFingerprint(h)
 	for i := h & mask; ; i = (i + 1) & mask {
 		c := t.ctrl[i]
 		if c == 0 {
 			t.ctrl[i] = fp
-			t.slots[i] = oaSlot{key: *k, v: v, exp: exp}
+			t.slots[i] = slot[K]{key: *k, v: v, exp: exp}
 			t.used++
 			return true
 		}
@@ -108,15 +124,18 @@ func (t *table) set(k *[16]byte, v string, exp int64) bool {
 	}
 }
 
-// grow doubles the slot array (or allocates the minimum) and reinserts every
-// live entry. Entries are plain values; no per-entry allocation.
-func (t *table) grow() {
+// grow doubles the slot array (or allocates the minimum, drawing a fresh
+// seed) and reinserts every live entry. Entries are plain values; no
+// per-entry allocation.
+func (t *table[K]) grow() {
 	oldSlots, oldCtrl := t.slots, t.ctrl
 	n := oaMinSize
 	if len(oldSlots) > 0 {
 		n = len(oldSlots) * 2
+	} else {
+		t.seed = maphash.MakeSeed()
 	}
-	t.slots = make([]oaSlot, n)
+	t.slots = make([]slot[K], n)
 	t.ctrl = make([]uint8, n)
 	t.limit = n - n>>2 + n>>4 // 13/16
 	mask := uint64(n - 1)
@@ -125,7 +144,7 @@ func (t *table) grow() {
 			continue
 		}
 		s := &oldSlots[i]
-		h := oaHash(&s.key)
+		h := t.hash(&s.key)
 		j := h & mask
 		for t.ctrl[j] != 0 {
 			j = (j + 1) & mask
@@ -139,19 +158,19 @@ func (t *table) grow() {
 // probe chain so no tombstone is left behind: every following entry whose
 // home position precedes the hole (cyclically) moves back into it. Probe
 // chains therefore always terminate at a genuinely empty slot.
-func (t *table) deleteAt(i uint64) {
+func (t *table[K]) deleteAt(i uint64) {
 	mask := uint64(len(t.slots) - 1)
 	t.used--
 	for {
 		t.ctrl[i] = 0
-		t.slots[i] = oaSlot{}
+		t.slots[i] = slot[K]{}
 		j := i
 		for {
 			j = (j + 1) & mask
 			if t.ctrl[j] == 0 {
 				return
 			}
-			home := oaHash(&t.slots[j].key) & mask
+			home := t.hash(&t.slots[j].key) & mask
 			// Slot j may move into the hole at i only if its home does not
 			// lie cyclically within (i, j] — otherwise the move would place
 			// it before its own probe chain starts.
@@ -172,12 +191,12 @@ func (t *table) deleteAt(i uint64) {
 }
 
 // remove deletes k, reporting whether it was present.
-func (t *table) remove(k *[16]byte) bool {
+func (t *table[K]) remove(k *K) bool {
 	if t.used == 0 {
 		return false
 	}
 	mask := uint64(len(t.slots) - 1)
-	h := oaHash(k)
+	h := t.hash(k)
 	fp := oaFingerprint(h)
 	for i := h & mask; ; i = (i + 1) & mask {
 		c := t.ctrl[i]
@@ -199,7 +218,7 @@ func (t *table) remove(k *[16]byte) bool {
 // therefore tolerate being asked about an entry twice (every caller's
 // predicate is a pure function of the entry, so this costs a duplicate
 // check, never a wrong delete).
-func (t *table) removeIf(pred func(s *oaSlot) bool) int {
+func (t *table[K]) removeIf(pred func(s *slot[K]) bool) int {
 	removed := 0
 	for i := 0; i < len(t.ctrl); i++ {
 		if t.ctrl[i] == 0 {
@@ -214,21 +233,19 @@ func (t *table) removeIf(pred func(s *oaSlot) bool) int {
 	return removed
 }
 
-// iterate calls fn for every live slot until fn returns false. fn must not
-// mutate the table.
-func (t *table) iterate(fn func(s *oaSlot) bool) bool {
+// iterate calls fn for every live slot. fn must not mutate the table.
+func (t *table[K]) iterate(fn func(s *slot[K])) {
 	for i := range t.ctrl {
-		if t.ctrl[i] != 0 && !fn(&t.slots[i]) {
-			return false
+		if t.ctrl[i] != 0 {
+			fn(&t.slots[i])
 		}
 	}
-	return true
 }
 
 // reset drops the table's memory, returning it to the zero state. Used by
 // Clear and Snapshot so a rotated-away generation's slot array becomes
 // collectible at once.
-func (t *table) reset() { *t = table{} }
+func (t *table[K]) reset() { *t = table[K]{} }
 
 // len returns the number of live entries.
-func (t *table) len() int { return t.used }
+func (t *table[K]) len() int { return t.used }

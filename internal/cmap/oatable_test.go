@@ -14,16 +14,25 @@ func oaKey(i uint64) [16]byte {
 	return k
 }
 
+type refEntry struct {
+	v   string
+	exp int64
+}
+
 // A long random interleaving of set/overwrite/remove/get must leave the
 // table exactly agreeing with a reference map — this exercises growth,
 // collision chains, and backward-shift deletion in every relative order.
 func TestTableMatchesReferenceMap(t *testing.T) {
+	bothKeys(t, testTableMatchesReferenceMap[[16]byte], testTableMatchesReferenceMap[string])
+}
+
+func testTableMatchesReferenceMap[K Key](t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var tab table
-	ref := map[[16]byte]entry{}
+	var tab table[K]
+	ref := map[K]refEntry{}
 	const keySpace = 512 // small key space forces overwrites and re-inserts
 	for op := 0; op < 50_000; op++ {
-		k := oaKey(uint64(rng.Intn(keySpace)))
+		k := testKey[K](rng.Intn(keySpace))
 		switch rng.Intn(4) {
 		case 0, 1: // set
 			v := fmt.Sprintf("v%d", op)
@@ -33,7 +42,7 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 			if inserted == existed {
 				t.Fatalf("op %d: set inserted=%v but key existed=%v", op, inserted, existed)
 			}
-			ref[k] = entry{v: v, exp: exp}
+			ref[k] = refEntry{v: v, exp: exp}
 		case 2: // remove
 			removed := tab.remove(&k)
 			_, existed := ref[k]
@@ -54,17 +63,16 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 	}
 	// Every surviving reference entry must still probe correctly, and the
 	// iteration must visit each exactly once.
-	seen := map[[16]byte]bool{}
-	tab.iterate(func(s *oaSlot) bool {
+	seen := map[K]bool{}
+	tab.iterate(func(s *slot[K]) {
 		if seen[s.key] {
-			t.Fatalf("iterate visited %x twice", s.key)
+			t.Fatalf("iterate visited %v twice", s.key)
 		}
 		seen[s.key] = true
 		e, ok := ref[s.key]
 		if !ok || e.v != s.v || e.exp != s.exp {
-			t.Fatalf("iterate: %x=(%q,%d) not in reference (%+v,%v)", s.key, s.v, s.exp, e, ok)
+			t.Fatalf("iterate: %v=(%q,%d) not in reference (%+v,%v)", s.key, s.v, s.exp, e, ok)
 		}
-		return true
 	})
 	if len(seen) != len(ref) {
 		t.Fatalf("iterate visited %d entries, want %d", len(seen), len(ref))
@@ -76,20 +84,24 @@ func TestTableMatchesReferenceMap(t *testing.T) {
 // sweep must never break a probe chain, including chains that wrap the end
 // of the slot array.
 func TestTableRemoveIfKeepsSurvivorsReachable(t *testing.T) {
+	bothKeys(t, testTableRemoveIfKeepsSurvivorsReachable[[16]byte], testTableRemoveIfKeepsSurvivorsReachable[string])
+}
+
+func testTableRemoveIfKeepsSurvivorsReachable[K Key](t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		var tab table
+		var tab table[K]
 		n := 64 + rng.Intn(2048)
-		doomed := map[[16]byte]bool{}
-		keys := make([][16]byte, n)
+		doomed := map[K]bool{}
+		keys := make([]K, n)
 		for i := range keys {
-			keys[i] = oaKey(uint64(i) * 0x9E3779B9) // strided keys → clustered chains
+			keys[i] = testKey[K](i * 0x9E3779B9) // strided keys → clustered chains
 			tab.set(&keys[i], fmt.Sprintf("v%d", i), int64(i))
 			if rng.Intn(2) == 0 {
 				doomed[keys[i]] = true
 			}
 		}
-		removed := tab.removeIf(func(s *oaSlot) bool { return doomed[s.key] })
+		removed := tab.removeIf(func(s *slot[K]) bool { return doomed[s.key] })
 		if removed != len(doomed) {
 			t.Fatalf("trial %d: removed %d, want %d", trial, removed, len(doomed))
 		}
@@ -109,17 +121,22 @@ func TestTableRemoveIfKeepsSurvivorsReachable(t *testing.T) {
 	}
 }
 
-// An overwrite of an existing binary key must not allocate, and neither may
-// an insert once the slot array has capacity — the discipline the fill path
+// An overwrite of an existing key must not allocate, and neither may an
+// insert once the slot array has capacity — the discipline the fill path
 // benchmarks rest on, pinned here at the table level.
 func TestTableSetAllocFree(t *testing.T) {
-	var tab table
-	k := oaKey(7)
+	bothKeys(t, testTableSetAllocFree[[16]byte], testTableSetAllocFree[string])
+}
+
+func testTableSetAllocFree[K Key](t *testing.T) {
+	var tab table[K]
+	k := testKey[K](7)
 	tab.set(&k, "warm", 1)
 	for i := 0; i < 100; i++ { // pre-grow
-		kk := oaKey(uint64(i))
+		kk := testKey[K](i)
 		tab.set(&kk, "fill", 1)
 	}
+	tab.set(&k, "warm", 1)
 	if n := testing.AllocsPerRun(100, func() {
 		tab.set(&k, "warm", 2)
 	}); n != 0 {
@@ -136,17 +153,19 @@ func TestTableSetAllocFree(t *testing.T) {
 }
 
 // A cleared table owns no memory and accepts fresh inserts.
-func TestTableReset(t *testing.T) {
-	var tab table
+func TestTableReset(t *testing.T) { bothKeys(t, testTableReset[[16]byte], testTableReset[string]) }
+
+func testTableReset[K Key](t *testing.T) {
+	var tab table[K]
 	for i := 0; i < 100; i++ {
-		k := oaKey(uint64(i))
+		k := testKey[K](i)
 		tab.set(&k, "x", 0)
 	}
 	tab.reset()
 	if tab.len() != 0 || tab.slots != nil || tab.ctrl != nil {
 		t.Fatalf("reset left state: len=%d slots=%v", tab.len(), tab.slots != nil)
 	}
-	k := oaKey(1)
+	k := testKey[K](1)
 	if _, _, ok := tab.get(&k); ok {
 		t.Fatal("get hit after reset")
 	}

@@ -41,14 +41,14 @@ type RestoreStats struct {
 }
 
 // WriteSnapshot streams a checkpoint of the full correlation store to w:
-// both map families, all generations and splits, both key spaces, with the
-// typed expiries. It is safe to call while the pipeline is running — the
-// underlying iteration read-locks one cmap shard at a time, so a checkpoint
-// never freezes a map, only one stripe of one generation at a time. The
-// result is a fuzzy snapshot: entries written or overwritten mid-iteration
-// may or may not be included, which is exactly the guarantee a warm-restart
-// cache needs (restore tolerates both staleness and duplication; the DNS
-// stream re-asserts current truth within one TTL).
+// both map families, all generations and splits, with the typed expiries.
+// It is safe to call while the pipeline is running — the underlying
+// iteration read-locks one cmap shard at a time, so a checkpoint never
+// freezes a map, only one stripe of one generation at a time. The result is
+// a fuzzy snapshot: entries written or overwritten mid-iteration may or may
+// not be included, which is exactly the guarantee a warm-restart cache
+// needs (restore tolerates both staleness and duplication; the DNS stream
+// re-asserts current truth within one TTL).
 func (c *Correlator) WriteSnapshot(w io.Writer, created int64) error {
 	_, err := c.WriteSnapshotOwned(w, created, nil)
 	return err
@@ -64,67 +64,71 @@ func (c *Correlator) Checkpoint(path string) error {
 }
 
 // fillSnapshot writes both store families, IP-NAME filtered by owns, and
-// returns the number of entries written.
+// returns the number of entries written. IP-NAME sections carry
+// SectionFlagBinaryKeys (16-byte address keys); NAME-CNAME sections never
+// do.
 func (c *Correlator) fillSnapshot(w *snapshot.Writer, owns func(h uint32) bool) (int, error) {
-	n, err := c.ipName.writeSections(w, familyIPName, owns)
+	n, err := c.ipName.writeSections(w, familyIPName, snapshot.SectionFlagBinaryKeys, owns)
 	if err != nil {
 		return n, err
 	}
-	m, err := c.nameCname.writeSections(w, familyNameCname, nil)
+	m, err := c.nameCname.writeSections(w, familyNameCname, 0, nil)
 	return n + m, err
 }
 
-// writeSections emits one section run per (generation, split, key space)
-// cell of the store and returns the number of entries written. It iterates
-// shard by shard through cmap.AppendShard, so only one shard stripe is
-// read-locked at a time; the keys it returns are fresh copies, never map
-// storage. A non-nil owns keeps only the binary 16-byte keys with
-// owns(ipHash(key)) true (AppendShard items carry a zero Hash). String keys
-// are always kept: the ring does not partition them, so, like the
-// NAME-CNAME family, they are replicated.
-func (s *store) writeSections(w *snapshot.Writer, family uint8, owns func(h uint32) bool) (int, error) {
+// writeSections emits one section run per (generation, split) map of the
+// store and returns the number of entries written. It iterates shard by
+// shard through cmap.AppendShard, so only one shard stripe is read-locked
+// at a time. A non-nil owns keeps only the keys with owns(keyHash(key))
+// true (AppendShard items carry a zero Hash).
+func (s *store[K]) writeSections(w *snapshot.Writer, family, flags uint8, owns func(h uint32) bool) (int, error) {
 	gens := [...]struct {
 		code uint8
-		maps []*cmap.Map
+		maps []*cmap.Map[K]
 	}{
 		{genActive, s.active},
 		{genInactive, s.inactive},
 		{genLong, s.long},
 	}
 	written := 0
-	var items []cmap.Item
+	var items []cmap.Item[K]
+	var key []byte
 	for _, gen := range gens {
 		for split, m := range gen.maps {
 			if m.Empty() {
 				continue
 			}
-			for _, space := range [...]cmap.KeySpace{cmap.Binary, cmap.Strings} {
-				var flags uint8
-				if space == cmap.Binary {
-					flags = snapshot.SectionFlagBinaryKeys
-				}
-				if err := w.Begin(family, gen.code, flags, uint32(split)); err != nil {
-					return written, err
-				}
-				for sh := 0; sh < m.ShardCount(); sh++ {
-					items = m.AppendShard(sh, space, items[:0])
-					for i := range items {
-						if owns != nil && space == cmap.Binary && len(items[i].Key) == 16 {
-							k := [16]byte(items[i].Key)
-							if !owns(ipHash(&k)) {
-								continue
-							}
-						}
-						if err := w.Entry(items[i].Key, items[i].Value, items[i].Exp); err != nil {
-							return written, err
-						}
-						written++
+			if err := w.Begin(family, gen.code, flags, uint32(split)); err != nil {
+				return written, err
+			}
+			for sh := 0; sh < m.ShardCount(); sh++ {
+				items = m.AppendShard(sh, items[:0])
+				for i := range items {
+					if owns != nil && !owns(keyHash(&items[i].Key)) {
+						continue
 					}
+					key = appendKey(key[:0], &items[i].Key)
+					if err := w.Entry(key, items[i].Value, items[i].Exp); err != nil {
+						return written, err
+					}
+					written++
 				}
 			}
 		}
 	}
 	return written, nil
+}
+
+// appendKey appends k's wire form to dst: an address's 16 bytes or a
+// name's bytes.
+func appendKey[K cmap.Key](dst []byte, k *K) []byte {
+	switch k := any(k).(type) {
+	case *[16]byte:
+		return append(dst, k[:]...)
+	case *string:
+		return append(dst, *k...)
+	}
+	panic("core: key type outside cmap.Key")
 }
 
 // Restore loads a snapshot stream into the correlator's stores, fanning the
@@ -197,36 +201,49 @@ func (c *Correlator) Restore(r io.Reader, now time.Time) (RestoreStats, error) {
 // Unknown families and generations (a future format writing cells this
 // version does not know) are skipped whole, not errors: the snapshot header
 // already gated on the format version, and dropping an unknown cell only
-// costs warmth.
+// costs warmth. So is a section whose key space its family never uses — an
+// IP-NAME section without SectionFlagBinaryKeys or a NAME-CNAME section
+// with it: no writer puts entries there, and no lookup could reach them.
 func (c *Correlator) applySection(sec *snapshot.Section, nowNs int64) (applied, expired int, err error) {
-	var st *store
-	switch sec.Family {
-	case familyIPName:
-		st = c.ipName
-	case familyNameCname:
-		st = c.nameCname
-	default:
-		return 0, 0, nil
-	}
 	if sec.Gen > genLong {
 		return 0, 0, nil
 	}
-	binKeys := sec.BinaryKeys()
+	switch {
+	case sec.Family == familyIPName && sec.BinaryKeys():
+		return restoreSection(c, c.ipName, sec, nowNs)
+	case sec.Family == familyNameCname && !sec.BinaryKeys():
+		return restoreSection(c, c.nameCname, sec, nowNs)
+	}
+	return 0, 0, nil
+}
+
+// restoreSection inserts a section's unexpired entries into st, interning
+// names through the lane that owns the key's hash. An address key that is
+// not 16 bytes long is skipped.
+func restoreSection[K cmap.Key](c *Correlator, st *store[K], sec *snapshot.Section, nowNs int64) (applied, expired int, err error) {
 	err = sec.ForEach(func(key, value []byte, exp int64) error {
 		if exp != 0 && nowNs > exp {
 			expired++
 			return nil
 		}
-		if binKeys && len(key) == 16 {
-			k := [16]byte(key)
-			h := ipHash(&k)
-			in := c.lanes[c.laneForHash(h)].in
-			st.insertRestored(sec.Gen, h, k[:], "", in.intern(string(value)), exp, true)
-		} else {
-			h := cmap.HashBytes(key)
-			in := c.lanes[c.laneForHash(h)].in
-			st.insertRestored(sec.Gen, h, nil, in.intern(string(key)), in.intern(string(value)), exp, false)
+		var k K
+		var h uint32
+		var in *interner
+		switch p := any(&k).(type) {
+		case *[16]byte:
+			if len(key) != 16 {
+				return nil
+			}
+			*p = [16]byte(key)
+			h = ipHash(p)
+			in = c.lanes[c.laneForHash(h)].in
+		case *string:
+			name := string(key)
+			h = nameHash(name)
+			in = c.lanes[c.laneForHash(h)].in
+			*p = in.intern(name)
 		}
+		st.insertRestored(sec.Gen, h, &k, in.intern(string(value)), exp)
 		applied++
 		return nil
 	})
@@ -238,22 +255,15 @@ func (c *Correlator) applySection(sec *snapshot.Section, nowNs int64) (applied, 
 // A long-generation entry restored into a configuration without long maps
 // enabled still lands in long — get probes all three generations
 // unconditionally, so it stays reachable until the next clear-up.
-func (s *store) insertRestored(gen uint8, h uint32, binKey []byte, strKey, value string, exp int64, bin bool) {
-	var maps []*cmap.Map
+func (s *store[K]) insertRestored(gen uint8, h uint32, key *K, value string, exp int64) {
+	maps := s.active
 	switch gen {
 	case genInactive:
 		maps = s.inactive
 	case genLong:
 		maps = s.long
-	default:
-		maps = s.active
 	}
-	m := maps[s.splitFor(h)]
-	if bin {
-		m.SetBytesHashExpire(h, binKey, value, exp)
-		return
-	}
-	m.SetHashExpire(h, strKey, value, exp)
+	maps[s.splitFor(h)].Set(h, key, value, exp)
 }
 
 // restoreFromFile is New's restore-on-boot hook: a missing file is a normal

@@ -116,8 +116,8 @@ type Config struct {
 	// evenly (each lane's DNS ring gets FillQueueCap/Lanes and its flow
 	// ring LookQueueCap/Lanes, minimum 1). A single hot address can buffer
 	// up to one lane's share before that lane drops, so operators with
-	// skewed traffic should raise these. Correlator.LaneDepths reports each
-	// lane's occupancy; no metric exports it.
+	// skewed traffic should raise these, watching each lane's occupancy in
+	// the flowdns_lane_depth{lane,ring} gauges on /metrics.
 	FillQueueCap int
 	LookQueueCap int
 

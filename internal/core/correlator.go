@@ -147,8 +147,8 @@ type Correlator struct {
 	metricsInterval time.Duration
 	observe         func(Stats)
 
-	ipName    *store // A/AAAA answer(IP) -> query name
-	nameCname *store // CNAME answer(canonical) -> query (alias)
+	ipName    *store[[16]byte] // A/AAAA answer(IP) -> query name
+	nameCname *store[string]   // CNAME answer(canonical) -> query (alias)
 
 	// lanes are the pipeline's shards (lane.go), each drained by one worker
 	// that writes what it correlates to the sink. dnsParts and flowParts
@@ -192,7 +192,7 @@ func New(cfg Config, opts ...Option) *Correlator {
 	c := &Correlator{
 		cfg:  cfg,
 		sink: DiscardSink{},
-		ipName: newStore(storeConfig{
+		ipName: newStore[[16]byte](storeConfig{
 			splits:        cfg.NumSplit,
 			lanes:         cfg.Lanes,
 			interval:      cfg.AClearUpInterval,
@@ -204,7 +204,7 @@ func New(cfg Config, opts ...Option) *Correlator {
 		}),
 		// Table 1 lists NAME-CNAME without a split subscript: CNAME volume
 		// is far below A/AAAA volume, so one split suffices.
-		nameCname: newStore(storeConfig{
+		nameCname: newStore[string](storeConfig{
 			splits:        1,
 			interval:      cfg.CClearUpInterval,
 			rotation:      !cfg.DisableRotation,
@@ -242,13 +242,11 @@ func New(cfg Config, opts ...Option) *Correlator {
 }
 
 // fillBuf is the reusable scratch one IngestDNSBatch call assembles its
-// store items in: the 16-byte binary keys (backing storage the items alias)
-// and the Active/Long item groups handed to store.putItems.
+// store items in: the Active/Long item groups handed to store.putItems.
 type fillBuf struct {
-	keys   [][16]byte
-	active []cmap.Item
-	long   []cmap.Item
-	sc     dispatchScratch
+	active []cmap.Item[[16]byte]
+	long   []cmap.Item[[16]byte]
+	sc     dispatchScratch[[16]byte]
 }
 
 // ipHash hashes the 16-byte canonical address form in two 64-bit loads
@@ -363,20 +361,11 @@ func (c *Correlator) OfferFlowBatch(frs []netflow.FlowRecord) int {
 
 var _ stream.Ingest = (*Correlator)(nil)
 
-// QueueDepths reports the current occupancy of the two intake rings — the
-// "buffer usage" the paper's operators watch to keep loss at zero — each
-// aggregated over every lane; LaneDepths has the per-lane breakdown.
-func (c *Correlator) QueueDepths() (fill, look int) {
-	for i := range c.lanes {
-		fill += c.lanes[i].dns.Len()
-		look += c.lanes[i].flows.Len()
-	}
-	return fill, look
-}
-
-// LaneDepths reports each lane's DNS and flow ring occupancy — the skew
-// monitor for the address partition (a hot address shows up as one deep
-// lane).
+// LaneDepths reports each lane's DNS and flow ring occupancy — the
+// "buffer usage" the paper's operators watch to keep loss at zero, and the
+// skew monitor for the address partition (a hot address shows up as one
+// deep lane). Stats carries the same slices, and /metrics exports them as
+// flowdns_lane_depth.
 func (c *Correlator) LaneDepths() (dns, flows []int) {
 	dns, flows = make([]int, len(c.lanes)), make([]int, len(c.lanes))
 	for i := range c.lanes {
@@ -637,11 +626,12 @@ func (c *Correlator) IngestDNS(rec stream.DNSRecord) {
 		// shard selection.
 		in := c.lanes[c.laneForHash(h)].in
 		value := in.intern(dnsname.Normalize(rec.Query))
-		c.ipName.putBytesHash(rec.Timestamp, rec.TTL, h, key[:], value)
+		c.ipName.put(rec.Timestamp, rec.TTL, h, &key, value)
 	case dnswire.TypeCNAME:
 		in := c.lanes[c.laneForHash(cmap.Hash(rec.Answer))].in
 		value := in.intern(dnsname.Normalize(rec.Query))
-		c.nameCname.put(rec.Timestamp, rec.TTL, in.intern(dnsname.Normalize(rec.Answer)), value)
+		name := in.intern(dnsname.Normalize(rec.Answer))
+		c.nameCname.put(rec.Timestamp, rec.TTL, nameHash(name), &name, value)
 	}
 	c.stats.dnsRecords.Add(1)
 }
@@ -672,10 +662,6 @@ func (c *Correlator) IngestDNSBatch(recs []stream.DNSRecord) {
 func (c *Correlator) ingestBatch(recs []stream.DNSRecord, in *interner, buf *fillBuf) {
 	var records, invalid uint64
 	var batchTS time.Time
-	if cap(buf.keys) < len(recs) {
-		buf.keys = make([][16]byte, len(recs))
-	}
-	keys := buf.keys[:len(recs)]
 	active, long := buf.active[:0], buf.long[:0]
 	exact := c.ipName.exactTTL
 	longEnabled := c.ipName.longEnabled
@@ -703,8 +689,8 @@ func (c *Correlator) ingestBatch(recs []stream.DNSRecord, in *interner, buf *fil
 					continue
 				}
 			}
-			keys[i] = addr.As16()
-			item := cmap.Item{Hash: ipHash(&keys[i]), Key: keys[i][:], Value: value}
+			item := cmap.Item[[16]byte]{Key: addr.As16(), Value: value}
+			item.Hash = ipHash(&item.Key)
 			switch {
 			case exact:
 				item.Exp = expiryOf(rec.Timestamp, rec.TTL)
@@ -718,7 +704,8 @@ func (c *Correlator) ingestBatch(recs []stream.DNSRecord, in *interner, buf *fil
 		case dnswire.TypeCNAME:
 			// CNAME volume is a fraction of A/AAAA volume and the NAME-CNAME
 			// store is single-split; record-at-a-time puts are fine here.
-			c.nameCname.put(rec.Timestamp, rec.TTL, in.intern(dnsname.Normalize(rec.Answer)), value)
+			name := in.intern(dnsname.Normalize(rec.Answer))
+			c.nameCname.put(rec.Timestamp, rec.TTL, nameHash(name), &name, value)
 			batchTS = rec.Timestamp
 		}
 		records++
@@ -736,11 +723,11 @@ func (c *Correlator) ingestBatch(recs []stream.DNSRecord, in *interner, buf *fil
 }
 
 // lookupIP resolves one address against the IP-NAME store with a stack
-// key: As16 never allocates and the byte-keyed probe never retains the
-// slice, so the whole lookup is allocation-free.
+// key: As16 never allocates and the probe never retains the key, so the
+// whole lookup is allocation-free.
 func (c *Correlator) lookupIP(ts time.Time, addr netip.Addr) (string, Tier) {
 	key := addr.As16()
-	return c.ipName.getBytesHash(ts, ipHash(&key), key[:])
+	return c.ipName.get(ts, ipHash(&key), &key)
 }
 
 // CorrelateFlow resolves one flow (Algorithm 2) and returns the correlated
@@ -807,8 +794,8 @@ func (c *Correlator) correlateInto(cf *CorrelatedFlow, fr *netflow.FlowRecord, t
 	first := name
 	result := name
 	hops := 0
-	for hops < c.cfg.CNAMEChainLimit {
-		next, t := c.nameCname.get(fr.Timestamp, result)
+	for hops < c.cfg.CNAMEChainLimit && !c.nameCname.empty() {
+		next, t := c.nameCname.get(fr.Timestamp, nameHash(result), &result)
 		if t == TierNone || next == result {
 			break
 		}
@@ -817,7 +804,7 @@ func (c *Correlator) correlateInto(cf *CorrelatedFlow, fr *netflow.FlowRecord, t
 	}
 	if hops > 1 {
 		// §3.3 step 7: memoize multi-hop resolutions for later use.
-		c.nameCname.memoize(first, result)
+		c.nameCname.memoize(nameHash(first), &first, result)
 		tally.memoized++
 	}
 	cf.Name = result

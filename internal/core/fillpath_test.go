@@ -293,7 +293,7 @@ func TestOfferDNSRoutesAndCounts(t *testing.T) {
 	if accepted != 40 {
 		t.Fatalf("accepted = %d, want 40", accepted)
 	}
-	fill, _ := c.QueueDepths()
+	fill, _ := ringDepths(c)
 	if fill != 40 {
 		t.Fatalf("fill depth = %d, want 40", fill)
 	}

@@ -56,19 +56,12 @@ func (c *Correlator) WriteSnapshotOwned(w io.Writer, created int64, owns func(h 
 // drains again.
 func (c *Correlator) DropOwned(owns func(h uint32) bool) int {
 	dropped := 0
-	for _, gen := range [...][]*cmap.Map{c.ipName.active, c.ipName.inactive, c.ipName.long} {
+	for _, gen := range [...][]*cmap.Map[[16]byte]{c.ipName.active, c.ipName.inactive, c.ipName.long} {
 		for _, m := range gen {
 			if m.Empty() {
 				continue
 			}
-			dropped += m.RemoveIf(func(key, _ string, _ int64) bool {
-				if len(key) != 16 {
-					return false
-				}
-				var k [16]byte
-				copy(k[:], key)
-				return owns(ipHash(&k))
-			})
+			dropped += m.RemoveIf(func(k *[16]byte, _ string, _ int64) bool { return owns(ipHash(k)) })
 		}
 	}
 	return dropped

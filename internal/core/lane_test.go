@@ -340,7 +340,7 @@ func TestTCPDNSBackpressureLosesNothing(t *testing.T) {
 
 	// The ring fills while the lane is stuck; nothing may drop meanwhile.
 	deadline := time.Now().Add(10 * time.Second)
-	for fill, _ := c.QueueDepths(); fill < cfg.FillQueueCap; fill, _ = c.QueueDepths() {
+	for fill, _ := ringDepths(c); fill < cfg.FillQueueCap; fill, _ = ringDepths(c) {
 		if time.Now().After(deadline) {
 			t.Fatalf("DNS ring never filled: depth %d", fill)
 		}

@@ -183,8 +183,8 @@ func TestLaneLedgerSumsOverLanes(t *testing.T) {
 			t.Fatalf("%s lanes saw %d records, want %d", ring.name, perLane, offered)
 		}
 	}
-	if fill, look := c.QueueDepths(); fill != 48 || look != 48 {
-		t.Fatalf("QueueDepths = %d, %d; want 48, 48", fill, look)
+	if fill, look := ringDepths(c); fill != 48 || look != 48 {
+		t.Fatalf("summed lane depths = %d, %d; want 48, 48", fill, look)
 	}
 	dns, flows := c.LaneDepths()
 	for l := range c.lanes {
@@ -291,7 +291,7 @@ func TestDrainFullLanesDeliversEverything(t *testing.T) {
 	if total != uint64(accepted) {
 		t.Fatalf("sink saw %d flows, accepted %d (duplicate or dropped delivery)", total, accepted)
 	}
-	if fill, look := c.QueueDepths(); fill+look != 0 {
+	if fill, look := ringDepths(c); fill+look != 0 {
 		t.Fatalf("rings hold %d DNS records and %d flows after the drain", fill, look)
 	}
 }
@@ -329,4 +329,15 @@ func TestIngestDNSUnparsableAnswer(t *testing.T) {
 	if n, _ := c.StoreSizes(); n != 0 {
 		t.Fatalf("ipName entries = %d, want 0", n)
 	}
+}
+
+// ringDepths sums LaneDepths over every lane: the DNS records and flows
+// waiting in the rings.
+func ringDepths(c *Correlator) (dns, flows int) {
+	d, f := c.LaneDepths()
+	for i := range d {
+		dns += d[i]
+		flows += f[i]
+	}
+	return dns, flows
 }

@@ -75,15 +75,17 @@ type dumpEntry struct {
 
 // dumpStore flattens a store family into per-generation key→(value, exp)
 // maps, merged across splits — a layout-independent image of the state.
-func dumpStore(s *store) map[string]map[string]dumpEntry {
+// Keys are rendered in their snapshot wire form.
+func dumpStore[K cmap.Key](s *store[K]) map[string]map[string]dumpEntry {
 	out := make(map[string]map[string]dumpEntry, 3)
-	for name, maps := range map[string][]*cmap.Map{"active": s.active, "inactive": s.inactive, "long": s.long} {
+	for name, maps := range map[string][]*cmap.Map[K]{"active": s.active, "inactive": s.inactive, "long": s.long} {
 		g := map[string]dumpEntry{}
 		for _, m := range maps {
-			m.RangeExpire(func(k, v string, exp int64) bool {
-				g[k] = dumpEntry{v, exp}
-				return true
-			})
+			for sh := 0; sh < m.ShardCount(); sh++ {
+				for _, it := range m.AppendShard(sh, nil) {
+					g[string(appendKey(nil, &it.Key))] = dumpEntry{it.Value, it.Exp}
+				}
+			}
 		}
 		out[name] = g
 	}
@@ -117,7 +119,7 @@ func snapshotBytes(t *testing.T, c *Correlator) []byte {
 
 // TestSnapshotRestoreRoundTrip pins the tentpole property per variant:
 // restore(snapshot(store)) reproduces the store exactly — every generation,
-// both key spaces, values and typed expiries — when nothing has expired.
+// both families, values and typed expiries — when nothing has expired.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, variant := range []Variant{VariantMain, VariantExactTTL, VariantNoLong, VariantNoClearUp, VariantNoSplit} {
 		t.Run(string(variant), func(t *testing.T) {

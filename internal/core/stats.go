@@ -173,6 +173,10 @@ type Stats struct {
 	// sink. The field stays because the benchmark harness still reads it.
 	WriteQueue queue.Stats
 	Lanes      int
+	// LaneDNSDepth and LaneFlowDepth are each lane's current DNS and flow
+	// ring occupancy (LaneDepths), one element per lane.
+	LaneDNSDepth  []int
+	LaneFlowDepth []int
 }
 
 // CorrelationRate returns correlated bytes over total bytes — the paper's
@@ -247,6 +251,7 @@ func (c *Correlator) Stats() Stats {
 		st.FillQueue = addStats(st.FillQueue, c.lanes[i].dns.Stats())
 		st.LookQueue = addStats(st.LookQueue, c.lanes[i].flows.Stats())
 	}
+	st.LaneDNSDepth, st.LaneFlowDepth = c.LaneDepths()
 	for i := range st.ChainHist {
 		st.ChainHist[i] = c.stats.chain[i].Load()
 	}

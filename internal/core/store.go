@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,9 +35,12 @@ func (t Tier) String() string {
 	}
 }
 
-// store is one family of FlowDNS hashmaps (either IP-NAME or NAME-CNAME):
+// store is one family of FlowDNS hashmaps, IP-NAME (a store[[16]byte]
+// keyed by answer address) or NAME-CNAME (a store[string] keyed by name):
 // per-split active/inactive/long generations plus the clear-up machinery of
-// Algorithm 1. All methods are safe for concurrent use.
+// Algorithm 1. All methods are safe for concurrent use, and every one that
+// takes a key takes its hash h with it: keyHash(key), the same value on
+// every call for a key, as cmap.Map requires.
 //
 // Splits are laid out lane-major: the split index of a key is
 // (laneOf(key) * perLane) + withinLane(key), with laneOf derived from the
@@ -46,10 +50,10 @@ func (t Tier) String() string {
 // is filled and read by exactly one lane's worker, and concurrent lane
 // workers never contend on the same generation shards. LookupBoth's
 // destination fallback is the one cross-lane read.
-type store struct {
-	active   []*cmap.Map
-	inactive []*cmap.Map
-	long     []*cmap.Map
+type store[K cmap.Key] struct {
+	active   []*cmap.Map[K]
+	inactive []*cmap.Map[K]
+	long     []*cmap.Map[K]
 
 	splits        int
 	lanes         int // lane-major grouping of splits
@@ -86,7 +90,7 @@ type storeConfig struct {
 	shardsPerMap  int
 }
 
-func newStore(sc storeConfig) *store {
+func newStore[K cmap.Key](sc storeConfig) *store[K] {
 	if sc.splits < 1 {
 		sc.splits = 1
 	}
@@ -103,7 +107,7 @@ func newStore(sc storeConfig) *store {
 	}
 	perLane := (sc.splits + sc.lanes - 1) / sc.lanes
 	splits := sc.lanes * perLane
-	s := &store{
+	s := &store[K]{
 		splits:        splits,
 		lanes:         sc.lanes,
 		perLane:       perLane,
@@ -114,24 +118,43 @@ func newStore(sc storeConfig) *store {
 		ttlThreshold:  sc.interval,
 		exactTTL:      sc.exactTTL,
 		sweepInterval: sc.sweepInterval,
-		active:        make([]*cmap.Map, splits),
-		inactive:      make([]*cmap.Map, splits),
-		long:          make([]*cmap.Map, splits),
+		active:        make([]*cmap.Map[K], splits),
+		inactive:      make([]*cmap.Map[K], splits),
+		long:          make([]*cmap.Map[K], splits),
 	}
 	for i := 0; i < splits; i++ {
-		s.active[i] = cmap.NewWithShards(sc.shardsPerMap)
-		s.inactive[i] = cmap.NewWithShards(sc.shardsPerMap)
-		s.long[i] = cmap.NewWithShards(sc.shardsPerMap)
+		s.active[i] = cmap.NewWithShards[K](sc.shardsPerMap)
+		s.inactive[i] = cmap.NewWithShards[K](sc.shardsPerMap)
+		s.long[i] = cmap.NewWithShards[K](sc.shardsPerMap)
 	}
 	return s
 }
 
+// keyHash is the one hash every operation on a key derives its lane, split
+// and shard from: ipHash for addresses, nameHash for names. The hot paths
+// call the concrete function; this generic form serves the snapshot writer.
+func keyHash[K cmap.Key](k *K) uint32 {
+	if a, ok := any(k).(*[16]byte); ok {
+		return ipHash(a)
+	}
+	return nameHash(*any(k).(*string))
+}
+
+// nameSeed keys nameHash. Placement only has to agree within one process
+// (restore recomputes it), so one seed per process serves.
+var nameSeed = maphash.MakeSeed()
+
+// nameHash is a NAME-CNAME key's hash, which picks its shard. Every hop of
+// the CNAME walk pays it, so it is the runtime's seeded hash: cmap.Hash's
+// byte-at-a-time FNV costs several times as much per name.
+func nameHash(name string) uint32 { return uint32(maphash.String(nameSeed, name)) }
+
 // splitFor implements the paper's step-4 labeling lane-major: the low bits
 // of the key hash select the lane (matching the correlator's flow
 // partition), a golden-ratio remix selects the split within the lane's
-// slice. Both put and get derive the index from the same cmap hash, so one
+// slice. Both put and get derive the index from the same key hash, so one
 // hash per key serves lane routing, split labeling, and shard selection.
-func (s *store) splitFor(h uint32) int {
+func (s *store[K]) splitFor(h uint32) int {
 	if s.splits == 1 {
 		return 0
 	}
@@ -141,56 +164,33 @@ func (s *store) splitFor(h uint32) int {
 }
 
 // put inserts one record per Algorithm 1: first advance the clear-up clock
-// using the record's own timestamp, then place the record by TTL.
-func (s *store) put(ts time.Time, ttl uint32, key, value string) {
-	s.putHash(ts, ttl, cmap.Hash(key), key, value)
-}
-
-func (s *store) putHash(ts time.Time, ttl uint32, h uint32, key, value string) {
+// using the record's own timestamp, then place the record by TTL. The key
+// is copied into the map, never retained.
+func (s *store[K]) put(ts time.Time, ttl uint32, h uint32, key *K, value string) {
 	s.maybeClearUp(ts)
+	n := s.splitFor(h)
 	if s.exactTTL {
 		// Appendix A.8: every record carries its exact expiry, stored as a
 		// typed field (no string encoding, no allocation); the sweep in
 		// maybeSweep scans it back out. Everything lands in Active.
 		s.maybeSweep(ts)
-		s.active[s.splitFor(h)].SetHashExpire(h, key, value, expiryOf(ts, ttl))
+		s.active[n].Set(h, key, value, expiryOf(ts, ttl))
 		return
 	}
-	n := s.splitFor(h)
 	if s.longEnabled && time.Duration(ttl)*time.Second >= s.ttlThreshold {
-		s.long[n].SetHash(h, key, value)
+		s.long[n].Set(h, key, value, 0)
 		return
 	}
-	s.active[n].SetHash(h, key, value)
+	s.active[n].Set(h, key, value, 0)
 }
 
-// putBytesHash is put for a byte-slice key (the correlator's binary IP
-// keys) with a caller-supplied hash. The caller must use the same hash
-// function for every operation touching these keys — the correlator uses
-// ipHash — since it selects both the split and the shard. The key bytes
-// are only copied when the map inserts the entry.
-func (s *store) putBytesHash(ts time.Time, ttl uint32, h uint32, key []byte, value string) {
-	s.maybeClearUp(ts)
-	if s.exactTTL {
-		s.maybeSweep(ts)
-		s.active[s.splitFor(h)].SetBytesHashExpire(h, key, value, expiryOf(ts, ttl))
-		return
-	}
-	n := s.splitFor(h)
-	if s.longEnabled && time.Duration(ttl)*time.Second >= s.ttlThreshold {
-		s.long[n].SetBytesHash(h, key, value)
-		return
-	}
-	s.active[n].SetBytesHash(h, key, value)
-}
-
-// putItems is the batched binary-key fill path: the clear-up clock advances
-// once per batch (ts is the batch's latest record timestamp) and the items
-// are grouped by destination split and shard, so each touched shard is
-// locked once per batch instead of once per record. active receives
+// putItems is the batched fill path: the clear-up clock advances once per
+// batch (ts is the batch's latest record timestamp) and the items are
+// grouped by destination split and shard, so each touched shard is locked
+// once per batch instead of once per record. active receives
 // Active-generation items (exact-TTL items carry their expiry in Item.Exp);
 // long receives long-TTL items. sc is caller-owned reusable scratch.
-func (s *store) putItems(ts time.Time, active, long []cmap.Item, sc *dispatchScratch) {
+func (s *store[K]) putItems(ts time.Time, active, long []cmap.Item[K], sc *dispatchScratch[K]) {
 	s.maybeClearUp(ts)
 	if s.exactTTL {
 		s.maybeSweep(ts)
@@ -203,10 +203,10 @@ func (s *store) putItems(ts time.Time, active, long []cmap.Item, sc *dispatchScr
 // through: per-item bucket keys, bucket counters, and the scattered item
 // order. Owned by the fill worker (via fillBuf), so a steady-state batch
 // allocates nothing.
-type dispatchScratch struct {
+type dispatchScratch[K cmap.Key] struct {
 	keys   []int32
 	counts []int32
-	out    []cmap.Item
+	out    []cmap.Item[K]
 }
 
 // dispatchItems groups items by (split, shard) with a counting sort and
@@ -217,7 +217,7 @@ type dispatchScratch struct {
 // last-write-wins (§4 accuracy overwrite semantics) — and O(n + buckets)
 // with the bucket key computed once per item, a fraction of a comparison
 // sort's cost on the per-batch path.
-func (s *store) dispatchItems(gen []*cmap.Map, items []cmap.Item, sc *dispatchScratch) {
+func (s *store[K]) dispatchItems(gen []*cmap.Map[K], items []cmap.Item[K], sc *dispatchScratch[K]) {
 	n := len(items)
 	if n == 0 {
 		return
@@ -242,7 +242,7 @@ func (s *store) dispatchItems(gen []*cmap.Map, items []cmap.Item, sc *dispatchSc
 	}
 	keys := sc.keys[:n]
 	if cap(sc.out) < n {
-		sc.out = make([]cmap.Item, n)
+		sc.out = make([]cmap.Item[K], n)
 	}
 	out := sc.out[:n]
 	minB, maxB := int32(buckets), int32(0)
@@ -296,59 +296,24 @@ func expiryOf(ts time.Time, ttl uint32) int64 {
 // match (the paper's A.8 condition TTL_dns + Timestamp_dns < Timestamp_netflow).
 // Generations that are empty (drained inactive/long maps, common outside
 // rotation windows) are skipped with one atomic load instead of a locked
-// probe.
-func (s *store) get(now time.Time, key string) (string, Tier) {
-	// A single-split store (NAME-CNAME) that holds nothing — no CNAMEs
-	// seen yet, or all generations cleared — resolves to a miss before
-	// paying for the key hash. This keeps the per-flow CNAME walk nearly
-	// free for workloads without CNAME chains.
-	if s.splits == 1 && s.active[0].Empty() && s.inactive[0].Empty() && s.long[0].Empty() {
-		return "", TierNone
-	}
-	h := cmap.Hash(key)
+// probe. The probe never allocates and never retains key.
+func (s *store[K]) get(now time.Time, h uint32, key *K) (string, Tier) {
 	n := s.splitFor(h)
 	if !s.active[n].Empty() {
-		if s.exactTTL {
-			if v, exp, ok := s.active[n].GetHashExpire(h, key); ok {
+		if v, exp, ok := s.active[n].Get(h, key); ok {
+			if s.exactTTL {
 				return s.checkExpiry(now, v, exp)
 			}
-		} else if v, ok := s.active[n].GetHash(h, key); ok {
 			return v, TierActive
 		}
 	}
 	if !s.inactive[n].Empty() {
-		if v, ok := s.inactive[n].GetHash(h, key); ok {
+		if v, _, ok := s.inactive[n].Get(h, key); ok {
 			return v, TierInactive
 		}
 	}
 	if !s.long[n].Empty() {
-		if v, ok := s.long[n].GetHash(h, key); ok {
-			return v, TierLong
-		}
-	}
-	return "", TierNone
-}
-
-// getBytesHash is get for a byte-slice key with a caller-supplied hash;
-// the allocation-free LookUp hit path. The key is never retained.
-func (s *store) getBytesHash(now time.Time, h uint32, key []byte) (string, Tier) {
-	n := s.splitFor(h)
-	if !s.active[n].Empty() {
-		if s.exactTTL {
-			if v, exp, ok := s.active[n].GetBytesHashExpire(h, key); ok {
-				return s.checkExpiry(now, v, exp)
-			}
-		} else if v, ok := s.active[n].GetBytesHash(h, key); ok {
-			return v, TierActive
-		}
-	}
-	if !s.inactive[n].Empty() {
-		if v, ok := s.inactive[n].GetBytesHash(h, key); ok {
-			return v, TierInactive
-		}
-	}
-	if !s.long[n].Empty() {
-		if v, ok := s.long[n].GetBytesHash(h, key); ok {
+		if v, _, ok := s.long[n].Get(h, key); ok {
 			return v, TierLong
 		}
 	}
@@ -362,25 +327,32 @@ func (s *store) getBytesHash(now time.Time, h uint32, key []byte) (string, Tier)
 // its boundary: a record expiring exactly at the flow timestamp still
 // matches. Entries without an expiry (exp 0 — memoized writes) read as
 // already expired, exactly as the string encoding resolved them.
-func (s *store) checkExpiry(now time.Time, v string, exp int64) (string, Tier) {
+func (s *store[K]) checkExpiry(now time.Time, v string, exp int64) (string, Tier) {
 	if now.UnixNano() > exp {
 		return "", TierNone
 	}
 	return v, TierActive
 }
 
+// empty reports whether a single-split store (NAME-CNAME) holds nothing —
+// no CNAMEs seen yet, or all generations cleared — with three atomic loads,
+// so the per-flow CNAME walk can stop before hashing a name. It is false
+// for a store with more than one split.
+func (s *store[K]) empty() bool {
+	return s.splits == 1 && s.active[0].Empty() && s.inactive[0].Empty() && s.long[0].Empty()
+}
+
 // memoize writes a resolved multi-hop result back into the Active maps
 // (§3.3 step 7) without advancing the clear-up clock: the memo entry's
 // lifetime belongs to the current generation.
-func (s *store) memoize(key, value string) {
-	h := cmap.Hash(key)
-	s.active[s.splitFor(h)].SetHash(h, key, value)
+func (s *store[K]) memoize(h uint32, key *K, value string) {
+	s.active[s.splitFor(h)].Set(h, key, value, 0)
 }
 
 // maybeClearUp rotates (or clears) every split once interval has elapsed on
 // the record clock. Only one goroutine performs the rotation; the check is
 // cheap for everyone else.
-func (s *store) maybeClearUp(ts time.Time) {
+func (s *store[K]) maybeClearUp(ts time.Time) {
 	if !s.clearUp || s.exactTTL {
 		return
 	}
@@ -414,7 +386,7 @@ func (s *store) maybeClearUp(ts time.Time) {
 // process to clear-up the expired DNS records"). It write-locks every shard
 // of every split while scanning — the contention the paper blames for the
 // >90 % loss rate.
-func (s *store) maybeSweep(ts time.Time) {
+func (s *store[K]) maybeSweep(ts time.Time) {
 	last := s.lastSweep.Load()
 	if last == 0 {
 		s.lastSweep.CompareAndSwap(0, ts.UnixNano())
@@ -436,7 +408,7 @@ func (s *store) maybeSweep(ts time.Time) {
 }
 
 // size returns total entries across all generations and splits.
-func (s *store) size() int {
+func (s *store[K]) size() int {
 	n := 0
 	for i := range s.active {
 		n += s.active[i].Len() + s.inactive[i].Len() + s.long[i].Len()

@@ -92,7 +92,7 @@ func TestFillPoisonContainment(t *testing.T) {
 		// drain path.
 		deadline := time.After(5 * time.Second)
 		for {
-			if f, _ := c.QueueDepths(); f == 0 {
+			if f, _ := ringDepths(c); f == 0 {
 				break
 			}
 			select {

@@ -43,11 +43,13 @@ func (p *PromWriter) family(name, help, typ string) *promFamily {
 	return f
 }
 
+// promEscaper escapes a label value per the exposition format. A Replacer
+// is safe for concurrent use and costs kilobytes to build, so it is built
+// once, not per label of every scrape.
+var promEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+
 // promEscape escapes a label value per the exposition format.
-func promEscape(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
+func promEscape(v string) string { return promEscaper.Replace(v) }
 
 // renderLabels renders a label map deterministically (sorted by key).
 func renderLabels(labels map[string]string) string {

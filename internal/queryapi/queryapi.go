@@ -677,6 +677,13 @@ func writePipelineMetrics(p *metrics.PromWriter, st core.Stats) {
 		map[string]string{"queue": "look"}, st.LookQueue.Sampled)
 	p.Gauge("flowdns_loss_rate", "Lost (dropped + sampled) over offered, across all stage queues.", nil, st.LossRate())
 	p.Gauge("flowdns_sampled_rate", "Deliberately sampled over offered, across all stage queues.", nil, st.SampledRate())
+	for i := range st.LaneDNSDepth {
+		lane := strconv.Itoa(i)
+		p.GaugeInt("flowdns_lane_depth", "Records waiting in a lane's ring.",
+			map[string]string{"lane": lane, "ring": "dns"}, int64(st.LaneDNSDepth[i]))
+		p.GaugeInt("flowdns_lane_depth", "Records waiting in a lane's ring.",
+			map[string]string{"lane": lane, "ring": "flow"}, int64(st.LaneFlowDepth[i]))
+	}
 	p.Counter("flowdns_poisoned_total", "Records dropped by panic containment.", nil, st.Poisoned)
 	for _, c := range st.Supervised {
 		p.Counter("flowdns_panics_total", "Contained panics by supervised component.",

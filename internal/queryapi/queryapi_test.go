@@ -10,16 +10,22 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"testing"
 	"time"
 
 	"errors"
 	"repro/internal/core"
 	"repro/internal/dbl"
+	"repro/internal/dnswire"
+	"repro/internal/netflow"
 	"repro/internal/queue"
 	"repro/internal/rollup"
+	"repro/internal/stream"
 	"repro/internal/winstore"
 )
 
@@ -283,6 +289,45 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("missing %q in:\n%s", want, body)
 		}
+	}
+}
+
+// TestMetricsLaneDepth pins the per-lane ring gauges: a correlator with
+// three lanes, offered DNS records and flows but never run, exports exactly
+// one flowdns_lane_depth series per lane and ring, and the series add up to
+// what the rings hold.
+func TestMetricsLaneDepth(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Lanes = 3
+	c := core.New(cfg)
+	t0 := time.Unix(1653475200, 0)
+	var recs []stream.DNSRecord
+	var flows []netflow.FlowRecord
+	for i := 0; i < 30; i++ {
+		addr := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
+		recs = append(recs, stream.DNSRecord{Timestamp: t0, Query: "svc.example", RType: dnswire.TypeA, TTL: 60, Answer: addr.String(), Addr: addr})
+		flows = append(flows, netflow.FlowRecord{Timestamp: t0, SrcIP: addr, DstIP: addr, Proto: netflow.ProtoTCP, Packets: 1, Bytes: 1})
+	}
+	dnsAccepted, flowAccepted := c.OfferDNSBatch(recs), c.OfferFlowBatch(flows[:20])
+	srv := newTestServer(t, goldenStore(t), WithPipelineStats(c.Stats))
+	_, body := get(t, srv.Handler(), "/metrics")
+	re := regexp.MustCompile(`(?m)^flowdns_lane_depth\{lane="(\d+)",ring="(dns|flow)"\} (\d+)$`)
+	seen := map[string]bool{}
+	sums := map[string]int{}
+	for _, m := range re.FindAllSubmatch(body, -1) {
+		key := string(m[1]) + "/" + string(m[2])
+		if seen[key] {
+			t.Fatalf("series lane=%s ring=%s exported twice", m[1], m[2])
+		}
+		seen[key] = true
+		n, _ := strconv.Atoi(string(m[3]))
+		sums[string(m[2])] += n
+	}
+	if len(seen) != 2*cfg.Lanes || bytes.Count(body, []byte("\nflowdns_lane_depth{")) != 2*cfg.Lanes {
+		t.Fatalf("%d lane-depth series, want %d:\n%s", len(seen), 2*cfg.Lanes, body)
+	}
+	if sums["dns"] != dnsAccepted || sums["flow"] != flowAccepted || dnsAccepted != 30 || flowAccepted != 20 {
+		t.Fatalf("depths sum to dns=%d flow=%d; offers accepted %d and %d", sums["dns"], sums["flow"], dnsAccepted, flowAccepted)
 	}
 }
 

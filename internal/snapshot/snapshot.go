@@ -11,8 +11,8 @@
 //	section meta: family u8 | gen u8 | flags u8 | split u32
 //	entry       : keyLen uvarint | key | valueLen uvarint | value | exp i64
 //
-// A section holds entries of one (family, generation, split, key space)
-// store cell; the writer rotates a large cell into more sections at
+// A section holds entries of one (family, generation, split) store cell,
+// flagged with its key form; the writer rotates a large cell into more sections at
 // frame.MaxSection, which also gives a restoring correlator units to fan out
 // across its lanes. exp is the absolute expiry in UnixNano (0 = never),
 // as the store's cmap entries carry it, so restore drops expired entries
@@ -36,10 +36,11 @@ const Version = 1
 // Magic identifies a snapshot file.
 const Magic = "FDSN"
 
-// SectionFlagBinaryKeys marks a section whose keys belong to the store's
-// 16-byte binary key space rather than the string key space. The two are
-// separate namespaces in the map (a 16-byte string key is not a binary
-// key), so restore must re-insert into the space the entries came from.
+// SectionFlagBinaryKeys marks a section whose keys are 16-byte addresses
+// (the IP-NAME family's keys) rather than names (NAME-CNAME's). A restoring
+// correlator applies a section only to the family that uses its key form:
+// an IP-NAME section without the flag, or a NAME-CNAME section with it, is
+// skipped.
 const SectionFlagBinaryKeys = 1 << 0
 
 // ErrCorrupt reports a structurally invalid or checksum-failing snapshot.

@@ -151,82 +151,3 @@ func (l *DNSListener) Run(ctx context.Context, in Ingest) error {
 
 // Stats aggregates counters across every connection accepted so far.
 func (l *DNSListener) Stats() SourceStats { return l.counts.snapshot() }
-
-// DNSFileSource replays a DNS capture file (the TSV format of
-// DNSFileWriter) through the ingest façade in record order.
-type DNSFileSource struct {
-	r io.Reader
-	// BatchSize bounds the per-offer batch (default 256).
-	BatchSize int
-	counts    sourceCounters
-}
-
-// NewDNSFileSource wraps r.
-func NewDNSFileSource(r io.Reader) *DNSFileSource { return &DNSFileSource{r: r} }
-
-// Run parses the capture and offers it in batches, checking ctx between
-// batches. A malformed capture is a source error.
-func (s *DNSFileSource) Run(ctx context.Context, in Ingest) error {
-	recs, err := ReadDNSFile(s.r)
-	if err != nil {
-		return err
-	}
-	bs := s.BatchSize
-	if bs <= 0 {
-		bs = 256
-	}
-	for len(recs) > 0 {
-		if ctx.Err() != nil {
-			return nil
-		}
-		n := min(bs, len(recs))
-		batch := recs[:n]
-		accepted := in.OfferDNSBatch(batch)
-		s.counts.records.Add(uint64(n))
-		s.counts.dropped.Add(uint64(n - accepted))
-		recs = recs[n:]
-	}
-	return nil
-}
-
-// Stats snapshots the source counters.
-func (s *DNSFileSource) Stats() SourceStats { return s.counts.snapshot() }
-
-// FlowFileSource replays a flow capture file (the TSV format of
-// FlowFileWriter) through the ingest façade in record order.
-type FlowFileSource struct {
-	r io.Reader
-	// BatchSize bounds the per-offer batch (default 256).
-	BatchSize int
-	counts    sourceCounters
-}
-
-// NewFlowFileSource wraps r.
-func NewFlowFileSource(r io.Reader) *FlowFileSource { return &FlowFileSource{r: r} }
-
-// Run parses the capture and offers it in batches, checking ctx between
-// batches.
-func (s *FlowFileSource) Run(ctx context.Context, in Ingest) error {
-	frs, err := ReadFlowFile(s.r)
-	if err != nil {
-		return err
-	}
-	bs := s.BatchSize
-	if bs <= 0 {
-		bs = 256
-	}
-	for len(frs) > 0 {
-		if ctx.Err() != nil {
-			return nil
-		}
-		n := min(bs, len(frs))
-		accepted := in.OfferFlowBatch(frs[:n])
-		s.counts.records.Add(uint64(n))
-		s.counts.dropped.Add(uint64(n - accepted))
-		frs = frs[n:]
-	}
-	return nil
-}
-
-// Stats snapshots the source counters.
-func (s *FlowFileSource) Stats() SourceStats { return s.counts.snapshot() }

@@ -432,47 +432,6 @@ func TestDNSListenerMultipleStreams(t *testing.T) {
 	}
 }
 
-func TestFileSources(t *testing.T) {
-	var dnsBuf, flowBuf bytes.Buffer
-	dw := NewDNSFileWriter(&dnsBuf)
-	for i := 0; i < 3; i++ {
-		if err := dw.Write(DNSRecord{Timestamp: testTime(), Query: "q.example",
-			RType: dnswire.TypeA, TTL: 60, Answer: "192.0.2.1"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dw.Flush()
-	fw := NewFlowFileWriter(&flowBuf)
-	for i := 0; i < 4; i++ {
-		if err := fw.Write(netflow.FlowRecord{Timestamp: testTime(),
-			SrcIP: netip.MustParseAddr("192.0.2.1"), DstIP: netip.MustParseAddr("10.0.0.1"),
-			Packets: 1, Bytes: 100, Proto: netflow.ProtoTCP}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fw.Flush()
-
-	in := newTestIngest(16, 16)
-	ds := NewDNSFileSource(&dnsBuf)
-	if err := ds.Run(context.Background(), in); err != nil {
-		t.Fatal(err)
-	}
-	if in.dns.Len() != 3 || ds.Stats().Records != 3 {
-		t.Fatalf("dns file source: queued=%d stats=%+v", in.dns.Len(), ds.Stats())
-	}
-	fs := NewFlowFileSource(&flowBuf)
-	if err := fs.Run(context.Background(), in); err != nil {
-		t.Fatal(err)
-	}
-	if in.flow.Len() != 4 || fs.Stats().Records != 4 {
-		t.Fatalf("flow file source: queued=%d stats=%+v", in.flow.Len(), fs.Stats())
-	}
-	// A malformed capture is a source error.
-	if err := NewDNSFileSource(strings.NewReader("not\ta\tcapture\n")).Run(context.Background(), in); err == nil {
-		t.Fatal("malformed capture accepted")
-	}
-}
-
 func TestFlowUDPIngestIPFIX(t *testing.T) {
 	in := newTestIngest(16, 16)
 	src := NewFlowUDPSource(nil)
